@@ -36,15 +36,10 @@ def _phi_composition(text):
 
 
 def _dims(text):
-    parts = text.split(",")
-    if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError("dims needs 4 or 5 comma-separated integers")
     try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"dims must be integers: {text!r}")
-    m2 = values[4] if len(values) == 5 else None
-    return network.Dims(values[0], values[1], values[2], values[3], m2)
+        return network.Dims.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _read_treebank(path, allow_underscore_heads=False):
@@ -68,12 +63,6 @@ def _default_threads():
     if value < 1:
         raise ValueError(f"{THREADS_ENV} must be at least 1")
     return value
-
-
-def _dims_text(dims):
-    if dims.m2 is None:
-        return f"{dims.d_word},{dims.d_tag},{dims.d_label},{dims.m1}"
-    return f"{dims.d_word},{dims.d_tag},{dims.d_label},{dims.m1},{dims.m2}"
 
 
 def cmd_train(args):
@@ -100,7 +89,7 @@ def cmd_train(args):
     print(
         "config"
         f" eta0={config.eta0:g} mu={config.mu:g} gamma={config.gamma:g}"
-        f" lambda={config.lam:g} batch={config.batch} dims={_dims_text(config.dims)}"
+        f" lambda={config.lam:g} batch={config.batch} dims={config.dims}"
         f" seed={config.seed} patience={config.patience} epochs={config.epochs}"
     )
 

@@ -1,11 +1,12 @@
 """Beam-search decoding and structured perceptron training.
 
-The beam explores decision sequences in lockstep: at every step each
-surviving item is expanded with every legal decision, candidates are ranked
-by cumulative score, and the best B continue.  Scores come either from the
-network's legal-masked log-probabilities or from per-decision perceptron
-weight vectors dotted with a representation phi built from the frozen
-network's activations.
+The beam explores decision sequences in lockstep: at every step every legal
+(item, decision) pair is ranked by cumulative score, and only the best B are
+built into new configurations; ties go to the earlier item, then the lower
+decision id.  Greedy decoding is the same search at width 1.  Scores come
+either from the network's legal-masked log-probabilities or from
+per-decision perceptron weight vectors dotted with a representation phi
+built from the frozen network's activations.
 
 Perceptron training follows the early-update recipe: decode with the gold
 sequence flagged through the beam, and at the first step where the gold
@@ -121,12 +122,17 @@ class BeamItem:
         self.gold_flag = gold_flag
 
 
+def _forward_configs(params, sentence, configs, precomp):
+    """Run the network on a list of configurations, one row each."""
+    feats = [extract_features(c, sentence) for c in configs]
+    masks = np.stack([sentence.decisions.legal_mask(c) for c in configs])
+    w, t, l = N.stack_features(feats)
+    return N.forward(params, w, t, l, masks, precomp)
+
+
 def _step_scores(params, sentence, items, comp_weights, precomp):
     """Score every decision for every beam item: (len(items), |Y|), -inf at illegal."""
-    feats = [extract_features(it.config, sentence) for it in items]
-    masks = np.stack([sentence.decisions.legal_mask(it.config) for it in items])
-    w, t, l = N.stack_features(feats)
-    trace = N.forward(params, w, t, l, masks, precomp)
+    trace = _forward_configs(params, sentence, [it.config for it in items], precomp)
     if comp_weights is None:
         return trace.log_probs
     comp, weights = comp_weights
@@ -149,21 +155,16 @@ def beam_search(params, sentence, beam_size, comp_weights=None, precomp=None, go
     beam = [BeamItem(T.initial_configuration(sentence.n), 0.0, (), tracking)]
     for step in range(2 * sentence.n):
         scores = _step_scores(params, sentence, beam, comp_weights, precomp)
-        candidates = []
-        for i, item in enumerate(beam):
-            for did in np.flatnonzero(scores[i] > -np.inf):
-                did = int(did)
-                flag = tracking and item.gold_flag and did == gold_ids[step]
-                candidates.append(
-                    BeamItem(
-                        T.apply(item.config, sentence.decisions.decision(did)),
-                        item.score + float(scores[i, did]),
-                        item.history + (did,),
-                        flag,
-                    )
-                )
-        candidates.sort(key=lambda c: c.score, reverse=True)
-        beam = candidates[:beam_size]
+        totals = (np.array([it.score for it in beam])[:, None] + scores).ravel()
+        keep = min(beam_size, int(np.count_nonzero(scores > -np.inf)))
+        survivors = []
+        for flat in np.argsort(-totals, kind="stable")[:keep].tolist():
+            i, did = divmod(flat, scores.shape[1])
+            item = beam[i]
+            flag = tracking and item.gold_flag and did == gold_ids[step]
+            config = T.apply(item.config, sentence.decisions.decision(did))
+            survivors.append(BeamItem(config, float(totals[flat]), item.history + (did,), flag))
+        beam = survivors
         if tracking and not any(it.gold_flag for it in beam):
             return beam, step + 1
     return beam, None
@@ -191,11 +192,7 @@ def phi_for_prefix(params, sentence, decision_ids, comp, precomp=None):
     for did in decision_ids:
         configs.append(config)
         config = T.apply(config, sentence.decisions.decision(did))
-    feats = [extract_features(c, sentence) for c in configs]
-    masks = np.stack([sentence.decisions.legal_mask(c) for c in configs])
-    w, t, l = N.stack_features(feats)
-    trace = N.forward(params, w, t, l, masks, precomp)
-    return compute_phi(trace, comp)
+    return compute_phi(_forward_configs(params, sentence, configs, precomp), comp)
 
 
 @dataclass
@@ -276,19 +273,17 @@ def train_perceptron(params, trees, vocabs, config, dev_trees=None, log=None):
                 precomp,
                 gold_ids=gold_ids,
             )
-            if lost_at is not None:
+            if lost_at is not None or not beam[0].gold_flag:
+                # gold_ids[:None] is the whole sequence: a full update
                 pred_ids = beam[0].history
                 gold_prefix = gold_ids[:lost_at]
                 gold_phi = phi_for_prefix(params, sentence, gold_prefix, model.comp, precomp)
                 pred_phi = phi_for_prefix(params, sentence, pred_ids, model.comp, precomp)
                 _apply_update(model, t_now, gold_prefix, gold_phi, pred_ids, pred_phi)
-                early += 1
-            elif not beam[0].gold_flag:
-                pred_ids = beam[0].history
-                gold_phi = phi_for_prefix(params, sentence, gold_ids, model.comp, precomp)
-                pred_phi = phi_for_prefix(params, sentence, pred_ids, model.comp, precomp)
-                _apply_update(model, t_now, gold_ids, gold_phi, pred_ids, pred_phi)
-                full += 1
+                if lost_at is not None:
+                    early += 1
+                else:
+                    full += 1
             model.t = t_now
         uas = 0.0
         if dev_trees:

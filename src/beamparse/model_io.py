@@ -8,6 +8,8 @@ or as raw little-endian float32 blocks; saving a loaded model reproduces the
 file byte for byte in both encodings.
 """
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,17 +19,14 @@ from .features import Vocabulary, Vocabs
 from .network import Dims, NetworkParams
 from .training import TrainConfig
 
-MODEL_MAGIC = "beamparse model 1"
+MODEL_MAGIC = "beamparse model 2"
+# version 1 also stored the averaged perceptron weights, derivable from v, u, t
+OLD_MAGIC = "beamparse model 1"
 ENCODINGS = ("decimals", "f32")
 
 
 class ModelFormatError(ValueError):
     pass
-
-
-def _round_f32(arr):
-    """Project to float32-representable values (stays float64)."""
-    return arr.astype("<f4").astype(np.float64)
 
 
 def _write_line(f, text):
@@ -58,26 +57,54 @@ class _Reader:
         self.lineno += 1
         return raw.decode("utf-8").rstrip("\n")
 
-    def expect(self, prefix):
-        line = self.line()
-        if not line.startswith(prefix):
-            raise ModelFormatError(f"expected {prefix!r} at line {self.lineno}, found {line!r}")
-        return line
+    def header(self, keyword, *kinds, rest=None, line=None):
+        """Read a ``keyword field ...`` line and convert each field by its kind.
+
+        ``rest`` converts any fields beyond ``kinds``; without it the count
+        must match exactly.  ``line`` passes in a line already read.
+        """
+        line = self.line() if line is None else line
+        parts = line.split()
+        if parts[:1] != [keyword]:
+            raise ModelFormatError(f"expected {keyword!r} at line {self.lineno}, found {line!r}")
+        fields = parts[1:]
+        if len(fields) < len(kinds) or (rest is None and len(fields) > len(kinds)):
+            raise ModelFormatError(
+                f"{keyword} line {self.lineno} has {len(fields)} fields, expected {len(kinds)}"
+            )
+        kinds += (rest,) * (len(fields) - len(kinds))
+        try:
+            return [kind(field) for kind, field in zip(kinds, fields)]
+        except ValueError:
+            raise ModelFormatError(f"bad number in {keyword} line {self.lineno}: {line!r}") from None
 
     def blob(self, nbytes):
-        data = self.f.read(nbytes)
-        if len(data) != nbytes:
+        # checked before reading: read() allocates the requested size up front
+        if nbytes > os.fstat(self.f.fileno()).st_size - self.f.tell():
             raise ModelFormatError("truncated binary block in model file")
+        data = self.f.read(nbytes)
         if self.f.read(1) != b"\n":
             raise ModelFormatError("missing terminator after binary block")
         return data
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative count: {value}")
+    return value
+
+
+def _count_or_dash(text):
+    return None if text == "-" else _count(text)
+
+
 def _read_array(reader, encoding):
-    parts = reader.expect("array ").split()
-    name, ndim = parts[1], int(parts[2])
-    shape = tuple(int(s) for s in parts[3 : 3 + ndim])
-    count = int(np.prod(shape)) if shape else 0
+    name, ndim, *shape = reader.header("array", str, _count, rest=_count)
+    if len(shape) != ndim:
+        raise ModelFormatError(f"array {name} declares {ndim} dimensions, lists {len(shape)}")
+    shape = tuple(shape)
+    count = math.prod(shape) if shape else 0
     if encoding == "decimals":
         n_lines = 1 if ndim == 1 else shape[0]
         values = []
@@ -99,10 +126,9 @@ def _write_vocab(f, vocab):
 
 
 def _read_vocab(reader, group):
-    parts = reader.expect("vocab ").split(" ", 2)
-    if parts[1] != group:
-        raise ModelFormatError(f"expected {group} vocabulary, found {parts[1]!r}")
-    count = int(parts[2])
+    found, count = reader.header("vocab", str, _count)
+    if found != group:
+        raise ModelFormatError(f"expected {group} vocabulary, found {found!r}")
     return Vocabulary(group, [reader.line() for _ in range(count)])
 
 
@@ -138,15 +164,8 @@ def save_model(path, params, vocabs, perceptron=None, encoding="decimals"):
                 f,
                 f"perceptron {comp} {perceptron.d} {perceptron.n_decisions} {perceptron.t} {flag}",
             )
-            v = perceptron.v if encoding == "decimals" else _round_f32(perceptron.v)
-            u = perceptron.u if encoding == "decimals" else _round_f32(perceptron.u)
-            # vbar is derived from the values as stored, so a reload + resave
-            # reproduces it bit for bit even under the f32 encoding
-            t = perceptron.t
-            vbar = v.copy() if t == 0 else ((t + 1) * v - u) / t
-            _write_array(f, "v", v, encoding)
-            _write_array(f, "u", u, encoding)
-            _write_array(f, "vbar", vbar, encoding)
+            _write_array(f, "v", perceptron.v, encoding)
+            _write_array(f, "u", perceptron.u, encoding)
             _write_line(f, "end perceptron")
         _write_line(f, "end model")
 
@@ -154,29 +173,20 @@ def save_model(path, params, vocabs, perceptron=None, encoding="decimals"):
 def load_model(path):
     with open(path, "rb") as f:
         reader = _Reader(f)
-        if reader.line() != MODEL_MAGIC:
+        magic = reader.line()
+        if magic not in (MODEL_MAGIC, OLD_MAGIC):
             raise ModelFormatError("not a model file (bad magic line)")
-        encoding = reader.expect("encoding ").split(" ", 1)[1]
+        (encoding,) = reader.header("encoding", str)
         if encoding not in ENCODINGS:
             raise ModelFormatError(f"unknown model encoding: {encoding!r}")
-        dims_parts = reader.expect("dims ").split()[1:]
-        dims = Dims(
-            d_word=int(dims_parts[0]),
-            d_tag=int(dims_parts[1]),
-            d_label=int(dims_parts[2]),
-            m1=int(dims_parts[3]),
-            m2=None if dims_parts[4] == "-" else int(dims_parts[4]),
-        )
+        dims = Dims(*reader.header("dims", _count, _count, _count, _count, _count_or_dash))
         vocabs = Vocabs(
             _read_vocab(reader, "word"),
             _read_vocab(reader, "tag"),
             _read_vocab(reader, "label"),
         )
-        n_fields = int(reader.expect("network ").split()[1])
-        arrays = {}
-        for _ in range(n_fields):
-            name, arr = _read_array(reader, encoding)
-            arrays[name] = arr
+        (n_fields,) = reader.header("network", _count)
+        arrays = dict(_read_array(reader, encoding) for _ in range(n_fields))
         if reader.line() != "end network":
             raise ModelFormatError("network section not terminated")
         sizes = (len(vocabs.word), len(vocabs.tag), len(vocabs.label), len(vocabs.decisions))
@@ -186,27 +196,26 @@ def load_model(path):
         perceptron = None
         line = reader.line()
         if line.startswith("perceptron "):
-            parts = line.split()
-            comp = tuple(parts[1].split(","))
-            d, ny, t, flag = int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5])
+            comp, d, ny, t, flag = reader.header(
+                "perceptron", str, _count, _count, _count, _count, line=line
+            )
+            comp = tuple(comp.split(","))
             if ny != sizes[3]:
                 raise ModelFormatError(
                     f"perceptron covers {ny} decisions, vocabularies induce {sizes[3]}"
                 )
             try:
-                perceptron = PerceptronModel(comp, d, ny, average=bool(flag))
-                want_d = phi_dimension(params, perceptron.comp)
+                want_d = phi_dimension(params, comp)
             except ValueError as exc:
                 raise ModelFormatError(str(exc)) from None
             if d != want_d:
                 raise ModelFormatError(
                     f"perceptron dimension {d} does not match the network ({want_d})"
                 )
-            section = {}
-            for _ in range(3):
-                name, arr = _read_array(reader, encoding)
-                section[name] = arr
-            for name in ("v", "u", "vbar"):
+            perceptron = PerceptronModel(comp, d, ny, average=bool(flag))
+            names = ("v", "u") if magic == MODEL_MAGIC else ("v", "u", "vbar")
+            section = dict(_read_array(reader, encoding) for _ in names)
+            for name in names:
                 if name not in section or section[name].shape != (ny, d):
                     raise ModelFormatError(f"perceptron array {name} missing or misshaped")
             perceptron.v = section["v"]
@@ -316,15 +325,7 @@ def _apply_config_value(config, key, value):
     elif key == "patience":
         config.patience = int(value)
     else:
-        fields = [int(v) for v in value.split(",")]
-        if len(fields) == 4:
-            dw, dt, dl, m1 = fields
-            m2 = None
-        elif len(fields) == 5:
-            dw, dt, dl, m1, m2 = fields
-        else:
-            raise ValueError("dims needs 4 or 5 comma-separated integers")
-        config.dims = Dims(dw, dt, dl, m1, m2)
+        config.dims = Dims.parse(value)
 
 
 def load_config_file(path, config=None):

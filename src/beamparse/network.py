@@ -9,13 +9,11 @@ log-likelihood of the oracle decisions plus an L2 penalty on the hidden
 weight matrices only.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as F
-from . import transitions as T
 
 INIT_STD = 1e-2  # Gaussian with variance 1e-4 for weights and embeddings
 HIDDEN_BIAS_INIT = 0.2  # keeps most rectifier units active at the start
@@ -28,6 +26,22 @@ class Dims:
     d_label: int = 32
     m1: int = 200
     m2: int = 200  # None for a single hidden layer
+
+    @classmethod
+    def parse(cls, text):
+        """Read the ``d_word,d_tag,d_label,m1[,m2]`` form written by str()."""
+        parts = text.split(",")
+        if len(parts) not in (4, 5):
+            raise ValueError("dims needs 4 or 5 comma-separated integers")
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"dims must be integers: {text!r}") from None
+        return cls(*values) if len(values) == 5 else cls(*values, m2=None)
+
+    def __str__(self):
+        sizes = (self.d_word, self.d_tag, self.d_label, self.m1, self.m2)
+        return ",".join(str(v) for v in sizes if v is not None)
 
     @property
     def embedded(self):
@@ -256,19 +270,11 @@ def loss_and_gradient(params, word_ids, tag_ids, label_ids, legal, gold, lam):
 
 
 def greedy_parse(params, tree, vocabs, precomp=None):
-    """Parse by always taking the most probable legal decision.
+    """Parse by always taking the most probable legal decision: the beam
+    decoder at width 1, so ties go to the lowest decision id."""
+    from .decoder import beam_parse  # decoder imports this module
 
-    Ties go to the lowest decision id.  Exactly 2n decisions are taken, so
-    this terminates for any input sentence.
-    """
-    sentence = vocabs.index_sentence(tree)
-    decisions = vocabs.decisions
-    config = T.initial_configuration(len(tree))
-    while not T.is_terminal(config):
-        trace = forward_config(params, config, sentence, precomp)
-        did = int(np.argmax(trace.probs[0]))
-        config = T.apply(config, decisions.decision(did))
-    return T.config_to_tree(config, tree)
+    return beam_parse(params, tree, vocabs, 1, precomp=precomp)
 
 
 class Precomputation:

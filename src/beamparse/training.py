@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import decoder
 from . import network as N
 from . import transitions as T
 from .features import extract_features
@@ -182,7 +183,9 @@ class TrainStats:
 
 def _dev_scores(params, dev_trees, vocabs):
     precomp = N.Precomputation(params)
-    predicted = [N.greedy_parse(params, tree, vocabs, precomp) for tree in dev_trees]
+    predicted = [
+        decoder.beam_parse(params, tree, vocabs, 1, precomp=precomp) for tree in dev_trees
+    ]
     report = evaluate(dev_trees, predicted)
     return report.uas, report.las
 

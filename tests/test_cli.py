@@ -121,6 +121,22 @@ def test_data_errors_exit_1(tmp_path, corpus, capsys):
     assert main(["eval", "--gold", str(bad), "--pred", str(bad)]) == 1
 
 
+def test_damaged_model_header_exits_1(tmp_path, corpus, capsys):
+    train_path, dev_path = corpus
+    model = run_train(tmp_path, corpus)
+    lines = model.read_bytes().split(b"\n")
+    assert lines[2].startswith(b"dims ")
+    lines[2] = b"dims 8 4"
+    model.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([
+        "parse", "--model", str(model), "--input", str(dev_path),
+        "--output", str(tmp_path / "out.conll"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_beam1_softmax_matches_greedy(tmp_path, corpus):
     train_path, dev_path = corpus
     model = run_train(tmp_path, corpus)

@@ -9,6 +9,7 @@ recomputing the expected weight deltas by hand from replayed prefixes.
 import numpy as np
 import pytest
 
+from beamparse import decoder as D
 from beamparse import network as N
 from beamparse import transitions as T
 from beamparse.decoder import (
@@ -188,15 +189,53 @@ def test_averaging_closed_forms():
 # beam search against independent references
 
 
+def stepwise_argmax(params, tree, vocabs):
+    """Greedy decoding written without the beam: take the most probable
+    legal decision at every step, ties to the lowest id."""
+    sentence = vocabs.index_sentence(tree)
+    config = T.initial_configuration(sentence.n)
+    while not T.is_terminal(config):
+        trace = N.forward_config(params, config, sentence)
+        did = int(np.argmax(trace.log_probs[0]))
+        config = T.apply(config, sentence.decisions.decision(did))
+    return T.config_to_tree(config, tree)
+
+
 def test_beam_width_one_matches_greedy():
     vocabs, params = small_setup()
     rng = np.random.default_rng(3)
     for _ in range(100):
         tree = random_projective_tree(rng, int(rng.integers(1, 11)))
-        greedy = N.greedy_parse(params, tree, vocabs)
+        greedy = stepwise_argmax(params, tree, vocabs)
         beamed = beam_parse(params, tree, vocabs, beam_size=1)
         assert beamed.heads == greedy.heads
         assert beamed.labels == greedy.labels
+
+
+def test_beam_builds_at_most_beam_size_configs_per_step(monkeypatch):
+    vocabs, params = small_setup(labels=("la", "lb", "lc"))
+    rng = np.random.default_rng(13)
+    trees = [random_projective_tree(rng, int(rng.integers(2, 9))) for _ in range(5)]
+    sentences = [vocabs.index_sentence(tree) for tree in trees]
+    built = []
+    real_step_scores, real_apply = D._step_scores, T.apply
+
+    def step_scores(*args):
+        built.append(0)
+        return real_step_scores(*args)
+
+    def apply(config, decision):
+        built[-1] += 1
+        return real_apply(config, decision)
+
+    monkeypatch.setattr(D, "_step_scores", step_scores)
+    monkeypatch.setattr(T, "apply", apply)
+    for beam_size in (1, 3):
+        for sentence in sentences:
+            built.clear()
+            beam_search(params, sentence, beam_size)
+            assert len(built) == 2 * sentence.n
+            assert max(built) <= beam_size, f"built {max(built)} configurations in one step"
 
 
 def test_unbounded_beam_matches_exhaustive_enumeration():

@@ -8,8 +8,9 @@ from beamparse.decoder import PerceptronModel, phi_dimension
 from beamparse.features import build_vocabularies
 from beamparse.model_io import (
     MODEL_MAGIC,
+    OLD_MAGIC,
     ModelFormatError,
-    _round_f32,
+    _write_array,
     load_config_file,
     load_embeddings,
     load_model,
@@ -20,6 +21,10 @@ from beamparse.network import Dims
 from beamparse.training import TrainConfig
 
 from helpers import make_tree, toy_corpus
+
+
+def _round_f32(arr):
+    return arr.astype("<f4").astype(np.float64)
 
 
 def fresh_model(dims=Dims(8, 4, 4, 12, 10), seed=3, with_perceptron=False):
@@ -160,6 +165,18 @@ def test_truncated_f32_blob(tmp_path):
         load_model(broken)
 
 
+def test_oversized_f32_blob_is_rejected_before_reading(tmp_path):
+    params, vocabs, _ = fresh_model()
+    path = tmp_path / "model"
+    save_model(path, params, vocabs, encoding="f32")
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b"array e_word "))
+    lines[at] = b"array e_word 2 100000 100000"  # 40 GB of float32
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 def test_shape_mismatch_is_rejected(tmp_path):
     params, vocabs, _ = fresh_model()
     path = tmp_path / "model"
@@ -200,6 +217,75 @@ def test_perceptron_dimension_must_match_network(tmp_path):
     save_model(path, params, vocabs, wrong)
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+HEADER_KEYWORDS = ("encoding", "dims", "vocab", "network", "array", "perceptron")
+
+
+@pytest.mark.parametrize("damage", ["cut", "word"])
+@pytest.mark.parametrize("keyword", HEADER_KEYWORDS)
+def test_damaged_header_line_is_a_format_error(tmp_path, keyword, damage):
+    params, vocabs, perceptron = fresh_model(with_perceptron=True)
+    path = tmp_path / "model"
+    save_model(path, params, vocabs, perceptron)
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(keyword.encode() + b" "))
+    fields = lines[at].split(b" ")
+    # "cut" drops the last field (e.g. "dims 8 4 4 12"); "word" puts text
+    # where a number belongs
+    lines[at] = b" ".join(fields[:-1] if damage == "cut" else fields[:-1] + [b"many"])
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_saved_file_holds_no_derived_averages(tmp_path):
+    params, vocabs, perceptron = fresh_model(with_perceptron=True)
+    path = tmp_path / "model"
+    save_model(path, params, vocabs, perceptron)
+    data = path.read_bytes()
+    assert data.startswith(MODEL_MAGIC.encode() + b"\n")
+    assert b"array vbar" not in data
+
+
+def _as_version_1(data, perceptron, encoding, vbar_shape=None):
+    """Rewrite a current model file as version 1, which also stored vbar."""
+    import io
+
+    vbar = perceptron.averaged_weights()
+    if vbar_shape is not None:
+        vbar = np.zeros(vbar_shape)
+    extra = io.BytesIO()
+    _write_array(extra, "vbar", vbar, encoding)
+    data = data.replace(MODEL_MAGIC.encode(), OLD_MAGIC.encode(), 1)
+    return data.replace(b"end perceptron\n", extra.getvalue() + b"end perceptron\n", 1)
+
+
+@pytest.mark.parametrize("encoding", ["decimals", "f32"])
+def test_version_1_file_loads_into_the_same_model(tmp_path, encoding):
+    params, vocabs, perceptron = fresh_model(with_perceptron=True)
+    path = tmp_path / "model"
+    save_model(path, params, vocabs, perceptron, encoding=encoding)
+    old = tmp_path / "old"
+    old.write_bytes(_as_version_1(path.read_bytes(), perceptron, encoding))
+    current, loaded = load_model(path), load_model(old)
+    assert loaded.encoding == encoding
+    assert loaded.params.equal(current.params)
+    assert loaded.vocabs.word.entries() == current.vocabs.word.entries()
+    for name in ("comp", "d", "t", "average"):
+        assert getattr(loaded.perceptron, name) == getattr(current.perceptron, name)
+    assert np.array_equal(loaded.perceptron.v, current.perceptron.v)
+    assert np.array_equal(loaded.perceptron.u, current.perceptron.u)
+
+    # resaving writes the current version, byte for byte as saved directly
+    resaved = tmp_path / "resaved"
+    save_model(resaved, loaded.params, loaded.vocabs, loaded.perceptron, encoding=encoding)
+    assert resaved.read_bytes() == path.read_bytes()
+
+    bad = _as_version_1(path.read_bytes(), perceptron, encoding, vbar_shape=(2, 3))
+    old.write_bytes(bad)
+    with pytest.raises(ModelFormatError):
+        load_model(old)
 
 
 # ---------------------------------------------------------------------------
