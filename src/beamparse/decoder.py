@@ -20,7 +20,8 @@ import numpy as np
 
 from . import network as N
 from . import transitions as T
-from .features import extract_features
+# decoder.extract_features is a name perfbench/tracing.py wraps
+from .features import extract_batch, extract_features  # noqa: F401
 from .treebank import evaluate
 
 PHI_BLOCK_ORDER = ("h1", "h2", "py")
@@ -124,9 +125,8 @@ class BeamItem:
 
 def _forward_configs(params, sentence, configs, precomp):
     """Run the network on a list of configurations, one row each."""
-    feats = [extract_features(c, sentence) for c in configs]
-    masks = np.stack([sentence.decisions.legal_mask(c) for c in configs])
-    w, t, l = N.stack_features(feats)
+    w, t, l = extract_batch(configs, sentence)
+    masks = np.array([sentence.decisions.legal_mask(c) for c in configs])
     return N.forward(params, w, t, l, masks, precomp)
 
 
@@ -186,12 +186,11 @@ def beam_parse(params, tree, vocabs, beam_size, scorer="softmax", model=None, pr
 
 
 def phi_for_prefix(params, sentence, decision_ids, comp, precomp=None):
-    """Replay a decision prefix and return phi for each visited configuration."""
-    configs = []
-    config = T.initial_configuration(sentence.n)
-    for did in decision_ids:
-        configs.append(config)
-        config = T.apply(config, sentence.decisions.decision(did))
+    """Replay a decision prefix and return phi for each configuration a
+    decision was taken in; the configuration after the last is not built."""
+    configs = [T.initial_configuration(sentence.n)]
+    for did in decision_ids[:-1]:
+        configs.append(T.apply(configs[-1], sentence.decisions.decision(did)))
     return compute_phi(_forward_configs(params, sentence, configs, precomp), comp)
 
 

@@ -95,16 +95,21 @@ class IndexedSentence:
     """A sentence with forms and tags pre-mapped to vocabulary ids.
 
     Position 0 stands for the artificial root and carries the ROOT id in
-    both the word and tag arrays.
+    both the word and tag arrays.  ``ids`` holds the word row and the tag
+    row with one more column, NULL, so that the missing position -1 maps to
+    NULL by plain indexing; ``word_ids`` and ``tag_ids`` are views without it.
     """
 
-    __slots__ = ("tree", "n", "word_ids", "tag_ids", "label_vocab", "decisions")
+    __slots__ = ("tree", "n", "ids", "word_ids", "tag_ids", "label_vocab", "decisions")
 
     def __init__(self, vocabs, tree):
         self.tree = tree
         self.n = len(tree)
-        self.word_ids = np.array([ROOT_ID] + [vocabs.word.id(t.form) for t in tree.tokens], dtype=np.int32)
-        self.tag_ids = np.array([ROOT_ID] + [vocabs.tag.id(t.pos) for t in tree.tokens], dtype=np.int32)
+        words = [vocabs.word.id(t.form) for t in tree.tokens]
+        tags = [vocabs.tag.id(t.pos) for t in tree.tokens]
+        self.ids = np.array([[ROOT_ID, *words, NULL_ID], [ROOT_ID, *tags, NULL_ID]], dtype=np.int64)
+        self.word_ids = self.ids[0, :-1]
+        self.tag_ids = self.ids[1, :-1]
         self.label_vocab = vocabs.label
         self.decisions = vocabs.decisions
 
@@ -158,26 +163,24 @@ def template_positions(config):
     return base, children
 
 
+def extract_batch(configs, sentence):
+    """Map configurations over one IndexedSentence to (B,20), (B,20) and
+    (B,12) int64 id matrices: the template is walked per configuration, then
+    words and tags are looked up for all rows at once."""
+    positions = []
+    labels = []
+    label_id = sentence.label_vocab.id
+    for config in configs:
+        base, children = template_positions(config)
+        positions += base
+        positions += children
+        arc_labels = config.labels
+        labels.append([NULL_ID if p == _MISSING else label_id(arc_labels[p]) for p in children])
+    ids = sentence.ids[:, positions].reshape(2, len(configs), N_WORD_FEATURES)
+    return ids[0], ids[1], np.array(labels, dtype=np.int64).reshape(len(configs), N_LABEL_FEATURES)
+
+
 def extract_features(config, sentence):
     """Map a configuration over an IndexedSentence to its FeatureIds."""
-    base, children = template_positions(config)
-    positions = base + children
-
-    word = np.empty(N_WORD_FEATURES, dtype=np.int32)
-    tag = np.empty(N_TAG_FEATURES, dtype=np.int32)
-    for i, p in enumerate(positions):
-        if p == _MISSING:
-            word[i] = NULL_ID
-            tag[i] = NULL_ID
-        else:
-            word[i] = sentence.word_ids[p]
-            tag[i] = sentence.tag_ids[p]
-
-    label = np.empty(N_LABEL_FEATURES, dtype=np.int32)
-    vocab = sentence.label_vocab
-    for i, p in enumerate(children):
-        if p == _MISSING:
-            label[i] = NULL_ID
-        else:
-            label[i] = vocab.id(config.labels[p])
-    return FeatureIds(word, tag, label)
+    word, tag, label = extract_batch([config], sentence)
+    return FeatureIds(word[0], tag[0], label[0])

@@ -109,7 +109,13 @@ def _read_array(reader, encoding):
         n_lines = 1 if ndim == 1 else shape[0]
         values = []
         for _ in range(n_lines):
-            values.extend(float(tok) for tok in reader.line().split())
+            line = reader.line()
+            try:
+                values.extend(float(tok) for tok in line.split())
+            except ValueError:
+                raise ModelFormatError(
+                    f"bad number in array {name} at line {reader.lineno}: {line[:80]!r}"
+                ) from None
         arr = np.array(values, dtype=np.float64)
     else:
         arr = np.frombuffer(reader.blob(count * 4), dtype="<f4").astype(np.float64)

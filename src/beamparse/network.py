@@ -277,40 +277,75 @@ def greedy_parse(params, tree, vocabs, precomp=None):
     return beam_parse(params, tree, vocabs, 1, precomp=precomp)
 
 
+# A gathered block of slot rows for at most this many batch-row units
+# (rows x m1) stays in cache; larger batches are summed in chunks of rows.
+GATHER_ROWS_UNITS = 2048
+
+
 class Precomputation:
     """Per-slot lookup tables for the first hidden layer's pre-activation.
 
     For every (slot, feature id) pair the contribution of that embedding row
     through its column block of w1 is cached, so the first layer becomes a
-    sum of table rows plus the bias.  A pure speed trick: results match the
-    naive matmul up to float addition order.
+    sum of table rows plus the bias.  Each feature group is one flat table
+    of its slots stacked (slot s of V ids owns rows s*V to s*V + V - 1); the
+    word table holds b1 in an extra row 0.  At any batch size the result is
+    bit-identical to ``b1 + row(w0) + ... + row(w19) + row(t0) + ... +
+    row(l11)`` added left to right.
     """
 
     def __init__(self, params):
         dims = params.dims
         m1 = dims.m1
 
-        def tables(emb, count, d, offset):
-            out = np.empty((count, emb.shape[0], m1))
+        def table(emb, count, d, offset, head=0):
+            flat = np.empty((head + count * emb.shape[0], m1))
+            slots = flat[head:].reshape(count, emb.shape[0], m1)
             for s in range(count):
                 block = params.w1[:, offset + s * d : offset + (s + 1) * d]
-                out[s] = emb @ block.T
-            return out
+                slots[s] = emb @ block.T
+            return flat, slots
 
         wb = F.N_WORD_FEATURES * dims.d_word
         tb = wb + F.N_TAG_FEATURES * dims.d_tag
-        self.word_tables = tables(params.e_word, F.N_WORD_FEATURES, dims.d_word, 0)
-        self.tag_tables = tables(params.e_tag, F.N_TAG_FEATURES, dims.d_tag, wb)
-        self.label_tables = tables(params.e_label, F.N_LABEL_FEATURES, dims.d_label, tb)
-        self.b1 = params.b1
+        # Three allocations, not one: freeing a single table of this size
+        # left it in the heap, so peak RSS grew across repeated parse calls.
+        word, self.word_tables = table(params.e_word, F.N_WORD_FEATURES, dims.d_word, 0, head=1)
+        word[0] = params.b1
+        tag, self.tag_tables = table(params.e_tag, F.N_TAG_FEATURES, dims.d_tag, wb)
+        label, self.label_tables = table(params.e_label, F.N_LABEL_FEATURES, dims.d_label, tb)
+        # Row offsets for the id matrix [0, words, 0, tags, 0, labels]; each
+        # group's leading column is the row its sum starts from: b1 for the
+        # words, then the running sum written over the gathered row.
+        nw, nt, nl = params.sizes[:3]
+        self.offsets = np.concatenate([
+            [0], 1 + nw * np.arange(F.N_WORD_FEATURES),
+            [0], nt * np.arange(F.N_TAG_FEATURES),
+            [0], nl * np.arange(F.N_LABEL_FEATURES),
+        ])
+        tw = 1 + F.N_WORD_FEATURES
+        tt = tw + 1 + F.N_TAG_FEATURES
+        self._groups = ((word, slice(0, tw)), (tag, slice(tw, tt)), (label, slice(tt, None)))
 
     def hidden_preactivation(self, word_ids, tag_ids, label_ids):
-        b = word_ids.shape[0]
-        z = np.tile(self.b1, (b, 1))
-        for s in range(F.N_WORD_FEATURES):
-            z += self.word_tables[s, word_ids[:, s]]
-        for s in range(F.N_TAG_FEATURES):
-            z += self.tag_tables[s, tag_ids[:, s]]
-        for s in range(F.N_LABEL_FEATURES):
-            z += self.label_tables[s, label_ids[:, s]]
+        b, m1 = word_ids.shape[0], self.word_tables.shape[2]
+        lead = np.zeros((b, 1), dtype=np.int64)
+        rows = np.concatenate([lead, word_ids, lead, tag_ids, lead, label_ids], axis=1) + self.offsets
+        chunk = max(1, GATHER_ROWS_UNITS // m1)
+        if b <= chunk:
+            return self._sum(rows)
+        z = np.empty((b, m1))
+        for i in range(0, b, chunk):
+            z[i : i + chunk] = self._sum(rows[i : i + chunk])
+        return z
+
+    def _sum(self, rows):
+        # sum(axis=1) adds a gathered block's slot rows in order; column 0 of
+        # each block after the first holds the sum so far
+        z = None
+        for table, cols in self._groups:
+            block = table[rows[:, cols]]
+            if z is not None:
+                block[:, 0] = z
+            z = block.sum(axis=1)
         return z

@@ -149,10 +149,11 @@ def build_oracle_dataset(trees, vocabs):
             config = T.apply(config, decision)
     if not gold:
         raise ValueError("no projective sentences to train on")
+    # int32 ids: the dataset holds every row of the training set at once
     return OracleDataset(
-        np.stack(rows_w),
-        np.stack(rows_t),
-        np.stack(rows_l),
+        np.array(rows_w, dtype=np.int32),
+        np.array(rows_t, dtype=np.int32),
+        np.array(rows_l, dtype=np.int32),
         np.stack(rows_m),
         np.array(gold, dtype=np.int64),
         used,

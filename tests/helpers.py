@@ -268,6 +268,18 @@ def fd_gradient_errors(params, word_ids, tag_ids, label_ids, legal, gold, lam, e
     return errors
 
 
+def stepwise_argmax(params, tree, vocabs, precomp=None):
+    """Greedy decoding written without the beam: take the most probable
+    legal decision at every step, ties to the lowest id."""
+    sentence = vocabs.index_sentence(tree)
+    config = T.initial_configuration(sentence.n)
+    while not T.is_terminal(config):
+        trace = N.forward_config(params, config, sentence, precomp)
+        did = int(np.argmax(trace.log_probs[0]))
+        config = T.apply(config, sentence.decisions.decision(did))
+    return T.config_to_tree(config, tree)
+
+
 def tiny_vocabs(n_words=5, n_tags=3, labels=("la", "lb")):
     from beamparse.features import Vocabulary, Vocabs
 

@@ -8,7 +8,7 @@ from beamparse.cli import THREADS_ENV, main
 from beamparse.model_io import load_model
 from beamparse.treebank import read_conll, write_conll
 
-from helpers import make_tree, toy_corpus
+from helpers import make_tree, stepwise_argmax, toy_corpus
 
 
 def write_trees(path, trees):
@@ -137,6 +137,23 @@ def test_damaged_model_header_exits_1(tmp_path, corpus, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bad_decimal_in_model_exits_1(tmp_path, corpus, capsys):
+    train_path, dev_path = corpus
+    model = run_train(tmp_path, corpus)
+    lines = model.read_bytes().split(b"\n")
+    at = lines.index(next(line for line in lines if line.startswith(b"array b1 "))) + 1
+    lines[at] = b"0.2x " + lines[at]
+    model.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([
+        "parse", "--model", str(model), "--input", str(dev_path),
+        "--output", str(tmp_path / "out.conll"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b1" in err and "Traceback" not in err
+
+
 def test_parse_beam1_softmax_matches_greedy(tmp_path, corpus):
     train_path, dev_path = corpus
     model = run_train(tmp_path, corpus)
@@ -146,11 +163,14 @@ def test_parse_beam1_softmax_matches_greedy(tmp_path, corpus):
         "--output", str(parsed), "--beam", "1",
     ]) == 0
 
+    # an independent stepwise argmax, with the parse command's precomputed
+    # first layer
     loaded = load_model(model)
+    precomp = N.Precomputation(loaded.params)
     expected = tmp_path / "expected.conll"
     write_trees(
         expected,
-        [N.greedy_parse(loaded.params, t, loaded.vocabs) for t in read_trees(dev_path)],
+        [stepwise_argmax(loaded.params, t, loaded.vocabs, precomp) for t in read_trees(dev_path)],
     )
     assert parsed.read_bytes() == expected.read_bytes()
 

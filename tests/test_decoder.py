@@ -29,7 +29,7 @@ from beamparse.features import build_vocabularies, extract_features
 from beamparse.network import Dims
 from beamparse.treebank import evaluate
 
-from helpers import make_tree, random_projective_tree, tiny_vocabs, toy_corpus
+from helpers import make_tree, random_projective_tree, stepwise_argmax, tiny_vocabs, toy_corpus
 
 
 def small_setup(labels=("la", "lb"), dims=Dims(8, 4, 4, 16, 12), seed=0):
@@ -189,18 +189,6 @@ def test_averaging_closed_forms():
 # beam search against independent references
 
 
-def stepwise_argmax(params, tree, vocabs):
-    """Greedy decoding written without the beam: take the most probable
-    legal decision at every step, ties to the lowest id."""
-    sentence = vocabs.index_sentence(tree)
-    config = T.initial_configuration(sentence.n)
-    while not T.is_terminal(config):
-        trace = N.forward_config(params, config, sentence)
-        did = int(np.argmax(trace.log_probs[0]))
-        config = T.apply(config, sentence.decisions.decision(did))
-    return T.config_to_tree(config, tree)
-
-
 def test_beam_width_one_matches_greedy():
     vocabs, params = small_setup()
     rng = np.random.default_rng(3)
@@ -301,12 +289,28 @@ def test_beam_parse_errors():
         beam_parse(params, tree, vocabs, 4, scorer="viterbi")
 
 
-def test_phi_for_prefix_matches_stepwise_forward():
+def test_phi_for_prefix_matches_stepwise_forward(monkeypatch):
     vocabs, params = small_setup()
     tree = make_tree([2, 0, 2])
     sentence = vocabs.index_sentence(tree)
     gold_ids = [sentence.decisions.id_of(d) for d in T.derive_oracle_sequence(tree)]
     comp = ("h1", "h2", "py")
+    calls = []
+    apply = T.apply
+
+    def counting_apply(config, decision):
+        calls.append(decision)
+        return apply(config, decision)
+
+    monkeypatch.setattr(T, "apply", counting_apply)
+    for k in range(1, len(gold_ids)):
+        calls.clear()
+        prefix = phi_for_prefix(params, sentence, gold_ids[:k], comp)
+        # k decisions are taken in k configurations; the one after the last
+        # is never built
+        assert len(calls) == k - 1
+        assert prefix.shape == (k, phi_dimension(params, comp))
+    monkeypatch.undo()
     phi = phi_for_prefix(params, sentence, gold_ids, comp)
     assert phi.shape == (len(gold_ids), phi_dimension(params, comp))
 

@@ -12,6 +12,7 @@ from beamparse.features import (
     UNK_ID,
     Vocabulary,
     build_vocabularies,
+    extract_batch,
     extract_features,
     template_positions,
 )
@@ -185,3 +186,32 @@ def test_indexed_sentence_carries_root_prefix():
     assert sent.tag_ids[0] == ROOT_ID
     assert sent.n == 4
     assert len(sent.word_ids) == 5
+
+
+def test_batched_extraction_matches_per_configuration():
+    """Every configuration of random legal walks, extracted as one batch per
+    walk, equals the single-configuration rows stacked.  The walks attach
+    with a label the vocabulary lacks as well as known ones, over a
+    sentence with an unknown word, so rows carry ROOT, NULL and UNK ids."""
+    tree = make_tree([2, 0, 2, 3, 4, 4], labels=["la", "root", "lb", "la", "lb", "la"])
+    vocabs = build_vocabularies([tree], word_min_count=1)
+    other = make_tree([0, 1, 1, 3, 3, 1, 6], forms=["w1", "w2", "zz", "w4", "w5", "w6", "w3"])
+    rng = np.random.default_rng(4)
+    decisions = T.DecisionSet(["la", "lb", "unseen"])
+    seen = {"word": set(), "tag": set(), "label": set()}
+    for walk in range(30):
+        sent = vocabs.index_sentence(other)
+        configs = [T.initial_configuration(sent.n)]
+        while not T.is_terminal(configs[-1]):
+            ids = decisions.legal_ids(configs[-1])
+            configs.append(T.apply(configs[-1], decisions.decision(int(rng.choice(ids)))))
+        word, tag, label = extract_batch(configs, sent)
+        single = [extract_features(c, sent) for c in configs]
+        for got, group in ((word, "word"), (tag, "tag"), (label, "label")):
+            want = np.stack([getattr(f, f"{group}_ids") for f in single])
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            seen[group].update(got.ravel().tolist())
+    assert {ROOT_ID, NULL_ID, UNK_ID} <= seen["word"]
+    assert {ROOT_ID, NULL_ID} <= seen["tag"]
+    assert {NULL_ID, UNK_ID, vocabs.label.id("la"), vocabs.label.id("lb")} <= seen["label"]
+

@@ -239,6 +239,18 @@ def test_damaged_header_line_is_a_format_error(tmp_path, keyword, damage):
         load_model(path)
 
 
+def test_bad_decimal_in_array_row_names_array_and_line(tmp_path):
+    params, vocabs, _ = fresh_model()
+    path = tmp_path / "model"
+    save_model(path, params, vocabs)
+    lines = path.read_bytes().split(b"\n")
+    at = lines.index(next(line for line in lines if line.startswith(b"array b1 "))) + 1
+    lines[at] = lines[at].replace(b" ", b" 0.2x ", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ModelFormatError, match=rf"array b1 at line {at + 1}\b"):
+        load_model(path)
+
+
 def test_saved_file_holds_no_derived_averages(tmp_path):
     params, vocabs, perceptron = fresh_model(with_perceptron=True)
     path = tmp_path / "model"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from beamparse import features as F
 from beamparse import network as N
 from beamparse import transitions as T
 from beamparse.features import extract_features
@@ -249,6 +250,51 @@ def test_precomputation_matches_naive_forward():
             assert np.allclose(naive.probs, fast.probs, atol=1e-12)
             ids = vocabs.decisions.legal_ids(c)
             c = T.apply(c, vocabs.decisions.decision(int(ids[rng.integers(len(ids))])))
+
+
+def sequential_preactivation(precomp, b1, w, t, l):
+    """b1 plus every slot's table row, added one at a time in template order."""
+    out = []
+    for i in range(w.shape[0]):
+        z = b1.copy()
+        for tables, ids in ((precomp.word_tables, w), (precomp.tag_tables, t), (precomp.label_tables, l)):
+            for s in range(ids.shape[1]):
+                z = z + tables[s, ids[i, s]]
+        out.append(z)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m2", [5, None])
+def test_precomputation_adds_in_template_order(m2):
+    vocabs = tiny_vocabs(n_words=7)
+    dims = Dims(d_word=4, d_tag=3, d_label=3, m1=300, m2=m2)
+    params = init_params(vocabs, dims, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    for _, arr in params.fields():
+        arr[...] = rng.normal(0.0, 1.0, arr.shape)
+    precomp = Precomputation(params)
+    nw, nt, nl, _ = params.sizes
+    # the last batch is large enough to be gathered one row at a time
+    for b in (1, 8, N.GATHER_ROWS_UNITS // dims.m1 + 1):
+        w = rng.integers(0, nw, (b, F.N_WORD_FEATURES))
+        t = rng.integers(0, nt, (b, F.N_TAG_FEATURES))
+        l = rng.integers(0, nl, (b, F.N_LABEL_FEATURES))
+        want = sequential_preactivation(precomp, params.b1, w, t, l)
+        assert np.array_equal(precomp.hidden_preactivation(w, t, l), want)
+
+
+def test_precomputation_tables_keep_their_shapes():
+    params, vocabs = small_params(seed=4)
+    precomp = Precomputation(params)
+    nw, nt, nl, _ = params.sizes
+    m1 = params.dims.m1
+    assert precomp.word_tables.shape == (F.N_WORD_FEATURES, nw, m1)
+    assert precomp.tag_tables.shape == (F.N_TAG_FEATURES, nt, m1)
+    assert precomp.label_tables.shape == (F.N_LABEL_FEATURES, nl, m1)
+    block = params.w1[:, params.dims.d_word : 2 * params.dims.d_word]
+    assert np.array_equal(precomp.word_tables[1], params.e_word @ block.T)
+    total = precomp.word_tables.nbytes + precomp.tag_tables.nbytes + precomp.label_tables.nbytes
+    assert total == (20 * nw + 20 * nt + 12 * nl) * m1 * 8
 
 
 def test_greedy_parse_terminates_and_is_valid():
