@@ -65,10 +65,9 @@ def build_vocabularies(trees, word_min_count=2):
     n = 0
     for tree in trees:
         n += 1
-        for tok in tree.tokens:
-            words[tok.form] += 1
-            tags[tok.pos] += 1
-            labels[tok.label] += 1
+        words.update(tree.forms)
+        tags.update(tree.pos_tags)
+        labels.update(tree.labels)
     if n == 0:
         raise ValueError("cannot build vocabularies from an empty treebank")
     return Vocabs(
@@ -105,8 +104,8 @@ class IndexedSentence:
     def __init__(self, vocabs, tree):
         self.tree = tree
         self.n = len(tree)
-        words = [vocabs.word.id(t.form) for t in tree.tokens]
-        tags = [vocabs.tag.id(t.pos) for t in tree.tokens]
+        words = [vocabs.word.id(f) for f in tree.forms]
+        tags = [vocabs.tag.id(p) for p in tree.pos_tags]
         self.ids = np.array([[ROOT_ID, *words, NULL_ID], [ROOT_ID, *tags, NULL_ID]], dtype=np.int64)
         self.word_ids = self.ids[0, :-1]
         self.tag_ids = self.ids[1, :-1]

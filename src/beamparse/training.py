@@ -85,15 +85,16 @@ def sgd_step(state, grads):
     """One update: momentum fold, parameter move, rate decay, averaging."""
     t = state.t + 1
     params = state.params
-    for name in params.field_names():
-        g = grads[name]
-        if not np.isfinite(g).all():
+    names = params.field_names()
+    for name in names:  # every block is checked before any of them moves
+        if not np.isfinite(grads[name]).all():
             raise TrainingDiverged(
                 f"non-finite gradient in {name} at update {t} (eta={state.eta:g})"
             )
+    for name in names:
         v = state.velocity[name]
         v *= state.mu
-        v -= g
+        v -= grads[name]
         getattr(params, name).__iadd__(state.eta * v)
     if t % state.decay_every == 0:
         state.eta *= DECAY_FACTOR

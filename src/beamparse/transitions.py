@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .treebank import DepTree, Token
+from .treebank import DepTree
 
 SHIFT = "SHIFT"
 LEFT_ARC = "LEFT_ARC"
@@ -202,7 +202,7 @@ def derive_oracle_sequence(tree):
         s = config.stack
         shift_ok, left_ok, right_ok = legal_kinds(config)
         if left_ok and heads[s[-2] - 1] == s[-1]:
-            d = Decision(LEFT_ARC, tree.tokens[s[-2] - 1].label)
+            d = Decision(LEFT_ARC, tree.labels[s[-2] - 1])
             attached[s[-1]] += 1
         elif (
             right_ok
@@ -210,7 +210,7 @@ def derive_oracle_sequence(tree):
             and heads[s[-1] - 1] == s[-2]
             and attached[s[-1]] == n_deps[s[-1]]
         ):
-            d = Decision(RIGHT_ARC, tree.tokens[s[-1] - 1].label)
+            d = Decision(RIGHT_ARC, tree.labels[s[-1] - 1])
             attached[s[-2]] += 1
         elif shift_ok:
             d = Decision(SHIFT)
@@ -233,8 +233,4 @@ def replay(decisions_seq, n):
 
 def config_to_tree(config, sentence):
     """A DepTree carrying the configuration's arcs over the sentence's tokens."""
-    toks = [
-        Token(t.form, t.pos, config.heads[i], config.labels[i])
-        for i, t in enumerate(sentence.tokens, start=1)
-    ]
-    return DepTree(toks, origin="predicted")
+    return DepTree(sentence.forms, sentence.pos_tags, config.heads[1:], config.labels[1:], "predicted")

@@ -1,6 +1,8 @@
 """CoNLL treebank IO, dependency tree containers, projectivity, UAS/LAS scoring."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
+from typing import NamedTuple
 
 
 # Gold POS tags treated as punctuation when scoring with punctuation excluded.
@@ -21,60 +23,68 @@ class AlignmentError(ValueError):
     """Two sentence sequences that should run in parallel do not."""
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
+    """One row of a tree, as read back from its columns."""
+
     form: str
     pos: str
     head: int
     label: str
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class DepTree:
     """A sentence with one head index and one arc label per token.
 
     Head indices are 1-based into the sentence; 0 is the artificial root.
     Heads may be gold or predicted depending on where the tree came from.
+    The four columns are tuples, so a tree's words and arcs cannot change
+    after it is built and copies share them.  Only ``origin`` is settable.
     """
 
-    tokens: list = field(default_factory=list)
-    origin: str = "gold"
+    forms: tuple
+    pos_tags: tuple
+    heads: tuple
+    labels: tuple
+    origin: str
+
+    def __init__(self, forms, pos_tags, heads, labels, origin="gold"):
+        self.forms = tuple(forms)
+        self.pos_tags = tuple(pos_tags)
+        self.heads = tuple(heads)
+        self.labels = tuple(labels)
+        self.origin = origin
+        n = len(self.forms)
+        if not len(self.pos_tags) == len(self.heads) == len(self.labels) == n:
+            raise ValueError(
+                f"columns differ in length: {n} forms, {len(self.pos_tags)} tags, "
+                f"{len(self.heads)} heads, {len(self.labels)} labels"
+            )
 
     @classmethod
     def build(cls, forms, pos, heads, labels, origin="gold"):
-        toks = [Token(f, p, h, l) for f, p, h, l in zip(forms, pos, heads, labels)]
-        return cls(toks, origin)
+        return cls(forms, pos, heads, labels, origin)
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.forms)
 
     @property
-    def forms(self):
-        return [t.form for t in self.tokens]
-
-    @property
-    def pos_tags(self):
-        return [t.pos for t in self.tokens]
-
-    @property
-    def heads(self):
-        return [t.head for t in self.tokens]
-
-    @property
-    def labels(self):
-        return [t.label for t in self.tokens]
+    def tokens(self):
+        """The rows as read-only Tokens; a fresh list on every access."""
+        return list(map(Token._make, zip(self.forms, self.pos_tags, self.heads, self.labels)))
 
     def copy(self):
-        return DepTree([Token(t.form, t.pos, t.head, t.label) for t in self.tokens], self.origin)
+        return DepTree(self.forms, self.pos_tags, self.heads, self.labels, self.origin)
 
     def root_count(self):
-        return sum(1 for t in self.tokens if t.head == 0)
+        return self.heads.count(0)
 
     def is_single_rooted(self):
         """True iff exactly one token attaches to 0 and every head chain reaches 0."""
         if self.root_count() != 1:
             return False
-        n = len(self.tokens)
+        heads = self.heads
+        n = len(heads)
         for start in range(1, n + 1):
             seen = set()
             k = start
@@ -82,7 +92,7 @@ class DepTree:
                 if k in seen or not (1 <= k <= n):
                     return False
                 seen.add(k)
-                k = self.tokens[k - 1].head
+                k = heads[k - 1]
         return True
 
 
@@ -103,30 +113,28 @@ def read_conll(stream, allow_underscore_heads=False):
     ``allow_underscore_heads`` a "_" head is read as 0 (parser input whose
     heads are not filled in yet).
     """
-    forms, pos, heads, labels, lines = [], [], [], [], []
+    rows, lines = [], []
 
     def flush():
+        _, forms, _, _, pos, _, heads, labels, _, _ = zip(*rows)
         n = len(forms)
         for i, h in enumerate(heads):
             if not (0 <= h <= n):
                 raise ConllError(f"head {h} out of range for a {n}-token sentence", lines[i])
             if h == i + 1:
                 raise ConllError(f"token {i + 1} is its own head", lines[i])
-        tree = DepTree.build(forms, pos, heads, labels)
-        for buf in (forms, pos, heads, labels, lines):
-            buf.clear()
-        return tree
+        rows.clear()
+        lines.clear()
+        return DepTree(forms, pos, heads, labels)
 
-    lineno = 0
-    for raw in stream:
-        lineno += 1
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            if forms:
+    for lineno, line in enumerate(stream, start=1):
+        if not line or line.isspace():
+            if rows:
                 yield flush()
             continue
         if line.startswith("#"):
             continue
+        # The line end, if any, stays on the tenth column, which is never read.
         cols = line.split("\t")
         if len(cols) != 10:
             raise ConllError(f"expected 10 tab-separated columns, got {len(cols)}", lineno)
@@ -136,35 +144,30 @@ def read_conll(stream, allow_underscore_heads=False):
             idx = int(cols[0])
         except ValueError:
             raise ConllError(f"non-integer token index {cols[0]!r}", lineno) from None
-        if idx != len(forms) + 1:
-            raise ConllError(f"token index {idx} out of order (expected {len(forms) + 1})", lineno)
-        form = cols[1]
-        if not form:
+        if idx != len(rows) + 1:
+            raise ConllError(f"token index {idx} out of order (expected {len(rows) + 1})", lineno)
+        if not cols[1]:
             raise ConllError("empty form", lineno)
-        tag = cols[4] if cols[4] != "_" else cols[3]
+        if cols[4] == "_":
+            cols[4] = cols[3]
         if cols[6] == "_" and allow_underscore_heads:
-            head = 0
+            cols[6] = 0
         else:
             try:
-                head = int(cols[6])
+                cols[6] = int(cols[6])
             except ValueError:
                 raise ConllError(f"non-integer head {cols[6]!r}", lineno) from None
-        forms.append(form)
-        pos.append(tag)
-        heads.append(head)
-        labels.append(cols[7])
+        rows.append(cols)  # columns 5 and 7 now hold the tag and the integer head
         lines.append(lineno)
-    if forms:
+    if rows:
         yield flush()
 
 
 def write_conll(trees, stream):
     """Write trees as CoNLL-X rows; columns we do not track are emitted as "_"."""
     for tree in trees:
-        for i, tok in enumerate(tree.tokens, start=1):
-            stream.write(
-                f"{i}\t{tok.form}\t_\t{tok.pos}\t{tok.pos}\t_\t{tok.head}\t{tok.label}\t_\t_\n"
-            )
+        for i, f, p, h, l in zip(count(1), tree.forms, tree.pos_tags, tree.heads, tree.labels):
+            stream.write(f"{i}\t{f}\t_\t{p}\t{p}\t_\t{h}\t{l}\t_\t_\n")
         stream.write("\n")
 
 
@@ -181,7 +184,7 @@ def is_projective(tree):
     """
     if not tree.is_single_rooted():
         return False
-    spans = [(min(i, t.head), max(i, t.head)) for i, t in enumerate(tree.tokens, start=1)]
+    spans = [(min(i, h), max(i, h)) for i, h in enumerate(tree.heads, start=1)]
     for a in range(len(spans)):
         for b in range(a + 1, len(spans)):
             if _arcs_cross(*spans[a], *spans[b]):
@@ -204,14 +207,14 @@ def evaluate(gold, predicted, exclude_punct=True):
     for si, (g, p) in enumerate(zip(gold, predicted)):
         if len(g) != len(p):
             raise AlignmentError(f"sentence {si}: {len(g)} gold tokens vs {len(p)} predicted")
-        for gt, pt in zip(g.tokens, p.tokens):
+        for tag, gh, gl, ph, pl in zip(g.pos_tags, g.heads, g.labels, p.heads, p.labels):
             total += 1
-            if exclude_punct and gt.pos in PUNCT_TAGS:
+            if exclude_punct and tag in PUNCT_TAGS:
                 continue
             scored += 1
-            if pt.head == gt.head:
+            if ph == gh:
                 head_ok += 1
-                if pt.label == gt.label:
+                if pl == gl:
                     both_ok += 1
     if scored == 0:
         return EvalReport(1.0, 1.0, 0, total)

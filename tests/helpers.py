@@ -219,9 +219,8 @@ def ambiguous_corpus(n_sentences, rng, label_noise=0.0):
 
 def corrupt_label(tree, new_label):
     """A copy with the first token's arc label replaced; heads untouched."""
-    out = tree.copy()
-    out.tokens[0].label = new_label
-    return out
+    labels = (new_label,) + tree.labels[1:]
+    return DepTree.build(tree.forms, tree.pos_tags, tree.heads, labels, tree.origin)
 
 
 def noisy_parser_pair(gold_trees, rng, p_correct=0.5):

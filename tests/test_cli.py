@@ -6,7 +6,7 @@ import pytest
 from beamparse import network as N
 from beamparse.cli import THREADS_ENV, main
 from beamparse.model_io import load_model
-from beamparse.treebank import read_conll, write_conll
+from beamparse.treebank import DepTree, read_conll, write_conll
 
 from helpers import make_tree, stepwise_argmax, toy_corpus
 
@@ -316,7 +316,9 @@ def test_filter_agree_cli(tmp_path, capsys):
     a = [t.copy() for t in base]
     b = [t.copy() for t in base]
     for i in (1, 4, 7):  # disagree on three sentences
-        b[i].tokens[0].head = 0 if b[i].tokens[0].head != 0 else 1
+        heads = list(b[i].heads)
+        heads[0] = 0 if heads[0] != 0 else 1
+        b[i] = DepTree.build(b[i].forms, b[i].pos_tags, heads, b[i].labels)
     a_path, b_path, out_path = tmp_path / "a.conll", tmp_path / "b.conll", tmp_path / "kept.conll"
     write_trees(a_path, a)
     write_trees(b_path, b)
@@ -363,7 +365,7 @@ def test_filter_agree_mismatched_inputs(tmp_path, capsys):
     rng = np.random.default_rng(2)
     a = toy_corpus(4, rng)
     b = [t.copy() for t in a]
-    b[2].tokens[0].form = "changed"
+    b[2] = DepTree.build(("changed",) + a[2].forms[1:], a[2].pos_tags, a[2].heads, a[2].labels)
     a_path, b_path = tmp_path / "a.conll", tmp_path / "b.conll"
     write_trees(a_path, a)
     write_trees(b_path, b)

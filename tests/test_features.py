@@ -17,6 +17,7 @@ from beamparse.features import (
     template_positions,
 )
 from beamparse.transitions import Decision, LEFT_ARC, RIGHT_ARC, SHIFT
+from beamparse.treebank import DepTree
 
 from helpers import make_tree
 
@@ -151,8 +152,9 @@ def test_features_depend_only_on_local_window():
     vocabs = build_vocabularies([long_tree], word_min_count=1)
     c = T.initial_configuration(10)  # buffer window covers tokens 1..4 only
     feats0 = extract_features(c, vocabs.index_sentence(long_tree))
-    mutated = long_tree.copy()
-    mutated.tokens[7].form = "w3"  # token 8: outside stack, buffer window, children
+    forms = list(long_tree.forms)
+    forms[7] = "w3"  # token 8: outside stack, buffer window, children
+    mutated = DepTree.build(forms, long_tree.pos_tags, long_tree.heads, long_tree.labels)
     feats1 = extract_features(c, vocabs.index_sentence(mutated))
     assert np.array_equal(feats0.word_ids, feats1.word_ids)
     assert np.array_equal(feats0.tag_ids, feats1.tag_ids)

@@ -318,5 +318,5 @@ def test_greedy_parse_deterministic_ties_take_lowest_id():
     tree = make_tree([2, 0], forms=["w0", "w1"], pos=["A", "B"], labels=["la", "lb"])
     out = greedy_parse(params, tree, vocabs)
     first_label = vocabs.label.entries()[0]
-    assert out.heads == [2, 0]
-    assert out.labels == [first_label, first_label]
+    assert out.heads == (2, 0)
+    assert out.labels == (first_label, first_label)

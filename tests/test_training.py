@@ -116,6 +116,24 @@ def test_nonfinite_gradient_aborts_with_diagnostics():
     assert state.t == 0  # aborted before committing the step
 
 
+def test_nonfinite_gradient_moves_no_block():
+    # every gradient block is nonzero, so a block updated before the NaN
+    # in w1 is found (the embedding tables come first) would show it
+    state = make_state(eta0=0.5, mu=0.9)
+    sgd_step(state, {name: np.ones_like(arr) for name, arr in state.params.fields()})
+    before = (state.params.copy(), state.average.copy(), {n: v.copy() for n, v in state.velocity.items()})
+    eta = state.eta
+    grads = {name: np.ones_like(arr) for name, arr in state.params.fields()}
+    grads["w1"][0, 0] = np.nan
+    with pytest.raises(TrainingDiverged):
+        sgd_step(state, grads)
+    params, average, velocity = before
+    assert state.params.equal(params)
+    assert state.average.equal(average)
+    assert all(np.array_equal(state.velocity[n], velocity[n]) for n in velocity)
+    assert state.t == 1 and state.eta == eta
+
+
 def test_build_oracle_dataset_counts_and_skips():
     trees = [
         make_tree([2, 0, 2]),

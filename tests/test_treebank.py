@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -7,6 +8,7 @@ from beamparse.treebank import (
     ConllError,
     DepTree,
     PUNCT_TAGS,
+    Token,
     evaluate,
     is_projective,
     read_conll,
@@ -29,10 +31,10 @@ def test_read_simple_sentence():
     trees = list(read_conll(io.StringIO(text)))
     assert len(trees) == 1
     t = trees[0]
-    assert t.forms == ["the", "cat"]
-    assert t.pos_tags == ["D", "N"]
-    assert t.heads == [2, 0]
-    assert t.labels == ["det", "root"]
+    assert t.forms == ("the", "cat")
+    assert t.pos_tags == ("D", "N")
+    assert t.heads == (2, 0)
+    assert t.labels == ("det", "root")
 
 
 def test_read_multiple_sentences_and_comments():
@@ -43,7 +45,7 @@ def test_read_multiple_sentences_and_comments():
         + conll_text([row(1, "b", "N", 0, "root")])
     )
     trees = list(read_conll(io.StringIO(text)))
-    assert [t.forms for t in trees] == [["a"], ["b"]]
+    assert [t.forms for t in trees] == [("a",), ("b",)]
 
 
 def test_read_skips_multiword_and_empty_node_ids():
@@ -54,7 +56,7 @@ def test_read_skips_multiword_and_empty_node_ids():
         row(2, "b", "N", 0, "root"),
     ]
     trees = list(read_conll(io.StringIO(conll_text(rows))))
-    assert trees[0].forms == ["a", "b"]
+    assert trees[0].forms == ("a", "b")
 
 
 def test_read_pos_falls_back_to_coarse_column():
@@ -62,7 +64,7 @@ def test_read_pos_falls_back_to_coarse_column():
     r[4] = "_"
     r[3] = "COARSE"
     trees = list(read_conll(io.StringIO(conll_text([r]))))
-    assert trees[0].pos_tags == ["COARSE"]
+    assert trees[0].pos_tags == ("COARSE",)
 
 
 def test_read_rejects_wrong_column_count():
@@ -110,7 +112,7 @@ def test_read_underscore_heads_only_when_allowed():
     with pytest.raises(ConllError):
         list(read_conll(io.StringIO(text)))
     trees = list(read_conll(io.StringIO(text), allow_underscore_heads=True))
-    assert trees[0].heads == [0]
+    assert trees[0].heads == (0,)
 
 
 def test_write_read_roundtrip():
@@ -127,6 +129,58 @@ def test_write_read_roundtrip():
         assert rt.pos_tags == orig.pos_tags
         assert rt.heads == orig.heads
         assert rt.labels == orig.labels
+
+
+def test_read_write_read_write_is_byte_stable():
+    multiword = ["1-2", "ab", "_", "_", "_", "_", "_", "_", "_", "_"]
+    empty_node = ["2.1", "ghost", "_", "_", "_", "_", "_", "_", "_", "_"]
+    no_head = row(3, "c", "V", 0, "x")
+    no_head[6] = "_"
+    coarse_only = row(1, "d", "_", 0, "root")
+    coarse_only[3] = "COARSE"
+    text = (
+        "# first\n"
+        + conll_text([multiword, row(1, "a", "D", 2, "det"), row(2, "b", "N", 0, "root")])
+        + conll_text([empty_node, no_head])
+        + "\n# second\n"
+        + conll_text([coarse_only])
+    )
+
+    def rewrite(text):
+        buf = io.StringIO()
+        write_conll(read_conll(io.StringIO(text), allow_underscore_heads=True), buf)
+        return buf.getvalue()
+
+    first = rewrite(text)
+    assert first.count("\n\n") == 2 and "#" not in first and "ghost" not in first
+    assert rewrite(first) == first
+
+
+def test_read_sentences_leave_about_one_tracked_object_each():
+    # Tuples of strings and ints drop out of the cyclic collector, so a
+    # read tree costs the collector one object, not one per token.
+    n = 400
+    sentence = conll_text([row(i, f"w{i}", "N", 0 if i == 1 else 1, "x") for i in range(1, 11)])
+    text = (sentence + "\n") * n
+    gc.collect()
+    before = len(gc.get_objects())
+    trees = list(read_conll(io.StringIO(text)))
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(trees) == n
+    assert added <= 2 * n
+
+
+def test_tree_columns_are_tuples_with_a_read_only_token_view():
+    tree = DepTree.build(["a", "b"], ["D", "N"], [2, 0], ["det", "root"])
+    assert tree.heads == (2, 0) and type(tree.forms) is tuple
+    assert tree.tokens == [Token("a", "D", 2, "det"), Token("b", "N", 0, "root")]
+    with pytest.raises(AttributeError):
+        tree.tokens[0].head = 0
+    copy = tree.copy()
+    assert copy == tree and copy is not tree and copy.heads is tree.heads
+    with pytest.raises(ValueError):
+        DepTree.build(["a", "b"], ["D"], [2, 0], ["det", "root"])
 
 
 def test_write_emits_underscore_for_untracked_columns():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from beamparse.treebank import DepTree
 from beamparse.tritrain import (
     FilterStats,
     agreement_filter,
@@ -28,15 +29,21 @@ def test_identical_outputs_are_all_kept():
     assert stats.kept_tokens == 6
     assert stats.mean_length == 2.0
     assert all(t.origin == "auto" for t in kept)
-    # the kept trees are fresh copies, not aliases of the inputs
-    kept[0].tokens[0].head = 99
-    assert a[0].tokens[0].head == 2
+    # the kept trees are fresh objects over immutable tuple columns, so
+    # neither retagging nor editing a kept tree can reach the inputs
+    assert all(k is not x for k, x in zip(kept, a))
+    assert all(
+        type(col) is tuple for k in kept for col in (k.forms, k.pos_tags, k.heads, k.labels)
+    )
+    assert a[0].origin == "gold"
+    with pytest.raises(AttributeError):
+        kept[0].tokens[0].head = 99
 
 
 def test_single_head_difference_drops_sentence():
     a = [make_tree([2, 0, 2]), make_tree([0, 1])]
     b = [make_tree([2, 0, 2]), make_tree([0, 1])]
-    b[1].tokens[1].head = 0
+    b[1] = make_tree([0, 0])
     kept, stats = agreement_filter(a, b)
     assert len(kept) == 1
     assert stats.kept_sentences == 1
@@ -53,7 +60,7 @@ def test_label_difference_depends_on_mode():
     assert len(kept_u) == 1
     assert stats.mode == "unlabeled"
     # unlabeled survivors carry parser A's labels
-    assert kept_u[0].labels == ["la", "root", "lb"]
+    assert kept_u[0].labels == ("la", "root", "lb")
 
 
 def test_filter_input_validation():
@@ -63,7 +70,7 @@ def test_filter_input_validation():
     with pytest.raises(ValueError):
         agreement_filter(a, a, mode="strict")
     b = [t.copy() for t in a]
-    b[2].tokens[0].form = "other"
+    b[2] = DepTree.build(("other",), b[2].pos_tags, b[2].heads, b[2].labels)
     with pytest.raises(ValueError) as err:
         agreement_filter(a, b)
     assert "sentence 2" in str(err.value)
@@ -159,8 +166,9 @@ def test_merge_tags_and_shuffles():
     all_forms = sorted(tuple(t.forms) for t in merged)
     assert all_forms == sorted(tuple(t.forms) for t in gold + auto)
     # inputs keep their own origin tags and are not aliased
-    merged[0].tokens[0].form = "mutated"
-    assert gold[0].tokens[0].form != "mutated" or auto[0].tokens[0].form != "mutated"
+    assert not any(m is t for m in merged for t in gold + auto)
+    with pytest.raises(AttributeError):
+        merged[0].tokens[0].form = "mutated"
     assert all(t.origin == "gold" for t in gold)
 
 
