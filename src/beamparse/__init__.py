@@ -20,7 +20,6 @@ from .transitions import (
     derive_oracle_sequence,
     initial_configuration,
     is_terminal,
-    legal_decisions,
     replay,
 )
 from .features import Vocabs, Vocabulary, build_vocabularies, extract_features
@@ -31,7 +30,6 @@ from .decoder import (
     PerceptronModel,
     beam_parse,
     compute_phi,
-    score_decision,
     train_perceptron,
 )
 from .tritrain import (

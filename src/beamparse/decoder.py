@@ -103,16 +103,6 @@ class PerceptronModel:
         return self.averaged_weights() if self.average else self.v.copy()
 
 
-def score_decision(model, phi, decision_id, weights=None):
-    """Dot product between a decision's weight vector and one phi row."""
-    phi = np.asarray(phi)
-    if phi.ndim != 1 or phi.shape[0] != model.d:
-        raise ValueError(f"phi has shape {phi.shape}, model expects ({model.d},)")
-    if weights is None:
-        weights = model.decode_weights()
-    return float(weights[decision_id] @ phi)
-
-
 class BeamItem:
     __slots__ = ("config", "score", "history", "gold_flag")
 
@@ -243,14 +233,19 @@ def train_perceptron(params, trees, vocabs, config, dev_trees=None, log=None):
 
     prepared = []
     skipped = 0
-    for tree in trees:
+    for i, tree in enumerate(trees):
         try:
             seq = T.derive_oracle_sequence(tree)
         except T.OracleError:
             skipped += 1
             continue
         sentence = vocabs.index_sentence(tree)
-        gold_ids = [sentence.decisions.id_of(dec) for dec in seq]
+        try:
+            gold_ids = [sentence.decisions.id_of(dec) for dec in seq]
+        except KeyError as exc:
+            raise ValueError(
+                f"training sentence {i + 1}: {exc.args[0]}; the model has no such arc label"
+            ) from None
         prepared.append((sentence, gold_ids))
     if not prepared:
         raise ValueError("no projective sentences to train on")

@@ -96,10 +96,10 @@ class IndexedSentence:
     Position 0 stands for the artificial root and carries the ROOT id in
     both the word and tag arrays.  ``ids`` holds the word row and the tag
     row with one more column, NULL, so that the missing position -1 maps to
-    NULL by plain indexing; ``word_ids`` and ``tag_ids`` are views without it.
+    NULL by plain indexing.
     """
 
-    __slots__ = ("tree", "n", "ids", "word_ids", "tag_ids", "label_vocab", "decisions")
+    __slots__ = ("tree", "n", "ids", "label_vocab", "decisions")
 
     def __init__(self, vocabs, tree):
         self.tree = tree
@@ -107,8 +107,6 @@ class IndexedSentence:
         words = [vocabs.word.id(f) for f in tree.forms]
         tags = [vocabs.tag.id(p) for p in tree.pos_tags]
         self.ids = np.array([[ROOT_ID, *words, NULL_ID], [ROOT_ID, *tags, NULL_ID]], dtype=np.int64)
-        self.word_ids = self.ids[0, :-1]
-        self.tag_ids = self.ids[1, :-1]
         self.label_vocab = vocabs.label
         self.decisions = vocabs.decisions
 

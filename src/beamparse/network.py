@@ -207,12 +207,14 @@ def forward(params, word_ids, tag_ids, label_ids, legal, precomp=None):
         h_last = h1
     logits = h_last @ params.beta.T + params.b_y
 
+    # Masking once suffices: every row has a legal decision, so peak and norm
+    # are finite, -inf minus a finite value stays -inf and exp(-inf) is 0.
     masked = np.where(legal, logits, -np.inf)
     peak = masked.max(axis=1, keepdims=True)
-    expd = np.where(legal, np.exp(masked - peak), 0.0)
+    expd = np.exp(masked - peak)
     norm = expd.sum(axis=1, keepdims=True)
-    log_probs = np.where(legal, masked - peak - np.log(norm), -np.inf)
-    probs = np.where(legal, expd / norm, 0.0)
+    log_probs = masked - peak - np.log(norm)
+    probs = expd / norm
     return ForwardTrace(w, t, l, legal, h0, z1, h1, z2, h2, log_probs, probs)
 
 

@@ -67,18 +67,14 @@ class TrainConfig:
 class TrainerState:
     """Raw parameters, their momentum buffer, and the running average."""
 
-    def __init__(self, params, eta0, mu, decay_every, alpha_fn=averaging_weight):
+    def __init__(self, params, eta0, mu, decay_every):
         self.params = params
         self.velocity = params.zeros_like()
         self.average = params.copy()
         self.eta = eta0
         self.mu = mu
         self.decay_every = decay_every
-        self.alpha_fn = alpha_fn
         self.t = 0  # completed updates
-
-    def averaged_params(self):
-        return self.average.copy()
 
 
 def sgd_step(state, grads):
@@ -98,7 +94,7 @@ def sgd_step(state, grads):
         getattr(params, name).__iadd__(state.eta * v)
     if t % state.decay_every == 0:
         state.eta *= DECAY_FACTOR
-    alpha = state.alpha_fn(t)
+    alpha = averaging_weight(t)
     for name, arr in params.fields():
         avg = getattr(state.average, name)
         avg *= alpha
@@ -208,7 +204,7 @@ def train_greedy(train_trees, dev_trees, vocabs, config, embeddings=None, log=No
 
     best_uas = -1.0
     best_epoch = 0
-    best_params = state.averaged_params()
+    best_params = state.average.copy()
     stale = 0
     history = []
     started = time.monotonic()
@@ -238,7 +234,7 @@ def train_greedy(train_trees, dev_trees, vocabs, config, embeddings=None, log=No
         if uas > best_uas:
             best_uas = uas
             best_epoch = epoch
-            best_params = state.averaged_params()
+            best_params = state.average.copy()
             stale = 0
         else:
             stale += 1
@@ -247,7 +243,7 @@ def train_greedy(train_trees, dev_trees, vocabs, config, embeddings=None, log=No
         if config.max_seconds is not None and time.monotonic() - started >= config.max_seconds:
             break
     if not dev_trees:
-        best_params = state.averaged_params()
+        best_params = state.average.copy()
         best_epoch = epochs_run
         best_uas = 0.0
     stats = TrainStats(

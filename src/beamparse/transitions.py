@@ -8,6 +8,7 @@ item and pops the top.  Every complete derivation for an n-token sentence has
 exactly 2n decisions.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,18 @@ class DecisionSet:
         labels = list(labels)
         if not labels:
             raise ValueError("decision set needs at least one arc label")
-        self.labels = labels
         self.decisions = [Decision(SHIFT)]
         self.decisions += [Decision(LEFT_ARC, l) for l in labels]
         self.decisions += [Decision(RIGHT_ARC, l) for l in labels]
         self._ids = {d: i for i, d in enumerate(self.decisions)}
+        # A mask depends only on the legal_kinds() triple: one shared,
+        # read-only mask per triple.
         n = len(labels)
-        self._left_ids = np.arange(1, 1 + n)
-        self._right_ids = np.arange(1 + n, 1 + 2 * n)
+        self._masks = {}
+        for kinds in itertools.product((False, True), repeat=3):
+            mask = np.repeat(kinds, (1, n, n))
+            mask.flags.writeable = False
+            self._masks[kinds] = mask
 
     def __len__(self):
         return len(self.decisions)
@@ -69,14 +74,8 @@ class DecisionSet:
             raise KeyError(f"unknown decision {decision!r}") from None
 
     def legal_mask(self, config):
-        mask = np.zeros(len(self.decisions), dtype=bool)
-        shift_ok, left_ok, right_ok = legal_kinds(config)
-        mask[0] = shift_ok
-        if left_ok:
-            mask[self._left_ids] = True
-        if right_ok:
-            mask[self._right_ids] = True
-        return mask
+        """The (|Y|,) bool legality row of a configuration; shared and read-only."""
+        return self._masks[legal_kinds(config)]
 
     def legal_ids(self, config):
         return np.flatnonzero(self.legal_mask(config))
@@ -95,12 +94,6 @@ class Config:
         self.labels = labels
         self.lefts = lefts  # per token, attached left children, ascending
         self.rights = rights  # per token, attached right children, ascending
-
-    def buffer_size(self):
-        return self.n - self.front + 1
-
-    def arcs(self):
-        return {(self.heads[d], self.labels[d], d) for d in range(1, self.n + 1) if self.heads[d] >= 0}
 
 
 def initial_configuration(n):
@@ -122,11 +115,6 @@ def legal_kinds(config):
     left_ok = depth >= 3
     right_ok = depth >= 3 or (depth == 2 and not shift_ok)
     return shift_ok, left_ok, right_ok
-
-
-def legal_decisions(config, decisions):
-    """The legal subset of a DecisionSet, ordered by decision id."""
-    return [decisions.decision(i) for i in decisions.legal_ids(config)]
 
 
 def is_terminal(config):

@@ -118,10 +118,10 @@ def length_matched_sample(kept, reference, budget, seed):
         return []
 
     n_bins = max(max(_length_bin(t) for t in reference), max(_length_bin(t) for t in kept)) + 1
-    target = np.zeros(n_bins)
+    target = [0] * n_bins
     for t in reference:
         target[_length_bin(t)] += 1
-    target /= target.sum()
+    target = [c / len(reference) for c in target]
 
     rng = np.random.default_rng(seed)
     pools = [[] for _ in range(n_bins)]
@@ -132,15 +132,16 @@ def length_matched_sample(kept, reference, budget, seed):
         pools[b] = [pool[i] for i in idx]  # pop() then draws uniformly without replacement
 
     out = []
-    counts = np.zeros(n_bins)
+    counts = [0] * n_bins
     total_tokens = 0
     while True:
         nonempty = [b for b in range(n_bins) if pools[b]]
         if not nonempty:
             break
-        drawn = counts.sum()
-        deficit = target * (drawn + 1) - counts
-        ideal = int(np.argmax(deficit))
+        # plain floats and ints: the same float64 arithmetic as numpy, and
+        # index(max()) takes the first maximum as argmax does
+        deficit = [w * (len(out) + 1) - c for w, c in zip(target, counts)]
+        ideal = deficit.index(max(deficit))
         placed = False
         for b in sorted(nonempty, key=lambda b: (abs(b - ideal), b)):
             tree = pools[b][-1]

@@ -299,6 +299,25 @@ def test_train_perceptron_defaults_to_model_path(tmp_path, corpus):
     assert load_model(model).perceptron is not None
 
 
+def test_train_perceptron_unknown_label_exits_1(tmp_path, corpus, capsys):
+    train_path, dev_path = corpus
+    model = run_train(tmp_path, corpus)
+    capsys.readouterr()
+    trees = read_trees(dev_path)
+    t = trees[1]
+    labels = ["NEWLABEL" if label == "det" else label for label in t.labels]
+    trees[1] = DepTree.build(t.forms, t.pos_tags, t.heads, labels)
+    relabeled = tmp_path / "relabeled.conll"
+    write_trees(relabeled, trees)
+    assert main([
+        "train-perceptron", "--model", str(model), "--train", str(relabeled),
+        "--beam", "2", "--epochs", "1",
+    ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "sentence 2" in err[0] and "LEFT_ARC(NEWLABEL)" in err[0]
+
+
 def test_parse_does_not_mutate_input(tmp_path, corpus):
     train_path, dev_path = corpus
     model = run_train(tmp_path, corpus)

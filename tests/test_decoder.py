@@ -22,7 +22,6 @@ from beamparse.decoder import (
     normalize_composition,
     phi_dimension,
     phi_for_prefix,
-    score_decision,
     train_perceptron,
 )
 from beamparse.features import build_vocabularies, extract_features
@@ -143,20 +142,18 @@ def test_probability_block_is_zero_at_illegal():
     assert np.all(phi[0, 1:] == 0.0)
 
 
+def test_beam_masks_are_writable_copies():
+    vocabs, params = small_setup()
+    sentence = vocabs.index_sentence(make_tree([2, 0, 2]))
+    configs = [T.replay([T.Decision(T.SHIFT)] * k, 3) for k in (0, 1, 2)]
+    trace = D._forward_configs(params, sentence, configs, None)
+    assert trace.legal.flags.writeable and trace.legal.flags.owndata
+    for row, config in zip(trace.legal, configs):
+        assert row.tolist() == sentence.decisions.legal_mask(config).tolist()
+
+
 # ---------------------------------------------------------------------------
-# perceptron scoring primitives
-
-
-def test_score_decision_arithmetic():
-    model = PerceptronModel(("py",), 5, 5)
-    phi = np.array([0.1, 0.2, 0.3, 0.0, 0.0])
-    assert score_decision(model, phi, 2) == 0.0
-    model.v[2, 2] = 1.0
-    assert score_decision(model, phi, 2, weights=model.v) == pytest.approx(0.3)
-    model.v[2] = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    assert score_decision(model, phi, 2, weights=model.v) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        score_decision(model, np.zeros(4), 2)
+# perceptron primitives
 
 
 def test_averaging_closed_forms():

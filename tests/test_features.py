@@ -184,10 +184,12 @@ def test_second_level_child_slots():
 def test_indexed_sentence_carries_root_prefix():
     vocabs, tree = corpus_vocabs()
     sent = vocabs.index_sentence(tree)
-    assert sent.word_ids[0] == ROOT_ID
-    assert sent.tag_ids[0] == ROOT_ID
+    assert sent.ids[0, 0] == ROOT_ID
+    assert sent.ids[1, 0] == ROOT_ID
     assert sent.n == 4
-    assert len(sent.word_ids) == 5
+    # root, four tokens, and the NULL column that position -1 reads
+    assert sent.ids.shape == (2, 6)
+    assert sent.ids[0, -1] == NULL_ID and sent.ids[1, -1] == NULL_ID
 
 
 def test_batched_extraction_matches_per_configuration():

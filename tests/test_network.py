@@ -113,7 +113,8 @@ def test_forward_normalization_and_exact_zero_for_illegal():
         c = T.initial_configuration(len(tree))
         while not T.is_terminal(c):
             w, t, l, legal = batch_for(vocabs, tree, [c])
-            trace = forward(params, w, t, l, legal)
+            with np.errstate(all="raise"):  # the unmasked exp and log never warn
+                trace = forward(params, w, t, l, legal)
             assert abs(trace.probs[0][legal[0]].sum() - 1.0) <= 1e-6
             assert np.all(trace.probs[0][~legal[0]] == 0.0)
             assert np.all(trace.log_probs[0][~legal[0]] == -np.inf)

@@ -149,6 +149,8 @@ def test_build_oracle_dataset_counts_and_skips():
     assert data.legal.shape == (8, len(vocabs.decisions))
     # every gold decision is legal in its row
     assert all(data.legal[i, data.gold[i]] for i in range(len(data)))
+    # a writable copy, not views of the decision set's shared read-only masks
+    assert data.legal.flags.writeable and data.legal.flags.owndata
     with pytest.raises(ValueError):
         build_oracle_dataset([make_tree([0, 0, 2])], vocabs)
 

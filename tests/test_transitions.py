@@ -15,7 +15,6 @@ from beamparse.transitions import (
     derive_oracle_sequence,
     initial_configuration,
     is_terminal,
-    legal_decisions,
     legal_kinds,
     replay,
 )
@@ -33,11 +32,21 @@ def R(label):
     return Decision(RIGHT_ARC, label)
 
 
+def arcs(c):
+    """The (head, label, dependent) arcs a configuration has built."""
+    return {(c.heads[d], c.labels[d], d) for d in range(1, c.n + 1) if c.heads[d] >= 0}
+
+
+def buffer_size(c):
+    return c.n - c.front + 1
+
+
 def test_initial_configuration():
     c = initial_configuration(3)
     assert c.stack == (0,)
     assert c.front == 1
-    assert c.buffer_size() == 3
+    assert buffer_size(c) == 3
+    assert arcs(c) == set()
     assert not is_terminal(c)
     with pytest.raises(ValueError):
         initial_configuration(0)
@@ -106,7 +115,7 @@ def test_full_derivation_hand_example():
     seq = [S, S, L("det"), S, L("subj"), R("root")]
     c = replay(seq, 3)
     assert is_terminal(c)
-    assert c.arcs() == {(2, "det", 1), (3, "subj", 2), (0, "root", 3)}
+    assert arcs(c) == {(2, "det", 1), (3, "subj", 2), (0, "root", 3)}
 
 
 def test_decision_set_numbering():
@@ -130,11 +139,39 @@ def test_legal_mask_matches_legal_decisions():
     c = replay([S, S], 3)  # stack (0,1,2), buffer has 3
     mask = d.legal_mask(c)
     assert mask.tolist() == [True, True, True, True, True]
-    decs = legal_decisions(c, d)
-    assert decs == [S, L("a"), L("b"), R("a"), R("b")]
+    assert [d.decision(i) for i in d.legal_ids(c)] == [S, L("a"), L("b"), R("a"), R("b")]
 
     c0 = initial_configuration(3)
     assert d.legal_mask(c0).tolist() == [True, False, False, False, False]
+    assert [d.decision(i) for i in d.legal_ids(c0)] == [S]
+
+
+def test_legal_mask_table_matches_masks_built_from_scratch():
+    """Every legal_kinds triple maps to the mask built kind by kind, and the
+    shared table rows cannot be written through."""
+    d = DecisionSet(["a", "b", "c"])
+    seen = set()
+    for depth in range(1, 5):
+        for front in (depth, depth + 1):  # buffer open, then drained
+            n = depth
+            empty = ((),) * (n + 1)
+            c = T.Config(n, tuple(range(depth)), front, (-1,) * (n + 1), ("",) * (n + 1), empty, empty)
+            kinds = legal_kinds(c)
+            seen.add(kinds)
+            expected = [kinds[(SHIFT, LEFT_ARC, RIGHT_ARC).index(dec.kind)] for dec in d.decisions]
+            mask = d.legal_mask(c)
+            assert mask.dtype == bool and mask.tolist() == expected
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+    # the five triples a configuration can have
+    assert seen == {
+        (False, False, False),
+        (True, False, False),
+        (False, False, True),
+        (True, True, True),
+        (False, True, True),
+    }
 
 
 def test_left_children_ascend_right_children_ascend():
@@ -195,17 +232,17 @@ def test_arc_conservation_and_progress():
         while not is_terminal(c):
             ids = d.legal_ids(c)
             assert len(ids) > 0  # progress is always possible
-            arcs_before = len(c.arcs())
-            items_before = len(c.stack) + c.buffer_size()
+            arcs_before = len(arcs(c))
+            items_before = len(c.stack) + buffer_size(c)
             c = apply(c, d.decision(int(ids[rng.integers(len(ids))])))
-            items_now = len(c.stack) + c.buffer_size()
-            if len(c.arcs()) == arcs_before + 1:
+            items_now = len(c.stack) + buffer_size(c)
+            if len(arcs(c)) == arcs_before + 1:
                 assert items_now == items_before - 1  # an arc pops one token
             else:
                 assert items_now == items_before  # a shift just moves one
             steps += 1
         assert steps == 2 * n
-        assert len(c.arcs()) == n
+        assert len(arcs(c)) == n
         assert c.stack == (0,)
 
 

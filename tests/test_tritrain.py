@@ -142,6 +142,59 @@ def test_length_matching_is_deterministic():
     assert sum(len(t) for t in out1) <= 100
 
 
+def numpy_length_matched_sample(kept, reference, budget, seed):
+    """The numpy-array form of length_matched_sample's draw loop, kept as a
+    reference for the plain-Python one."""
+    n_bins = max(max((len(t) - 1) // 5 for t in reference), max((len(t) - 1) // 5 for t in kept)) + 1
+    target = np.zeros(n_bins)
+    for t in reference:
+        target[(len(t) - 1) // 5] += 1
+    target /= target.sum()
+    rng = np.random.default_rng(seed)
+    pools = [[] for _ in range(n_bins)]
+    for t in kept:
+        pools[(len(t) - 1) // 5].append(t)
+    for b, pool in enumerate(pools):
+        idx = rng.permutation(len(pool))
+        pools[b] = [pool[i] for i in idx]
+    out = []
+    counts = np.zeros(n_bins)
+    total_tokens = 0
+    while True:
+        nonempty = [b for b in range(n_bins) if pools[b]]
+        if not nonempty:
+            break
+        deficit = target * (counts.sum() + 1) - counts
+        ideal = int(np.argmax(deficit))
+        placed = False
+        for b in sorted(nonempty, key=lambda b: (abs(b - ideal), b)):
+            tree = pools[b][-1]
+            if total_tokens + len(tree) <= budget:
+                pools[b].pop()
+                out.append(tree)
+                counts[b] += 1
+                total_tokens += len(tree)
+                placed = True
+                break
+        if not placed:
+            break
+    return out
+
+
+def test_length_matching_draws_as_the_numpy_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        kept = [tree_of_len(int(rng.integers(1, 40))) for _ in range(int(rng.integers(1, 120)))]
+        # reference bins with equal or near-equal shares exercise the first-maximum tie rule
+        reference = [tree_of_len(int(rng.integers(1, 30))) for _ in range(int(rng.integers(1, 60)))]
+        budget = int(rng.integers(0, sum(len(t) for t in kept) + 10))
+        seed = int(rng.integers(0, 1000))
+        got = length_matched_sample(kept, reference, budget, seed)
+        want = numpy_length_matched_sample(kept, reference, budget, seed)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+
 def test_length_matching_empty_reference_degrades(caplog):
     kept = [tree_of_len(4), tree_of_len(5), tree_of_len(6)]
     with caplog.at_level("WARNING"):
