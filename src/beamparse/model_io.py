@@ -118,10 +118,12 @@ def _read_array(reader, encoding):
                 ) from None
         arr = np.array(values, dtype=np.float64)
     else:
-        arr = np.frombuffer(reader.blob(count * 4), dtype="<f4").astype(np.float64)
+        arr = np.frombuffer(reader.blob(count * 4), dtype="<f4")
     if arr.size != count:
         raise ModelFormatError(f"array {name} has {arr.size} values, expected {count}")
-    return name, arr.reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"array {name} holds a non-finite value")
+    return name, np.asarray(arr, dtype=np.float64).reshape(shape)
 
 
 def _write_vocab(f, vocab):
@@ -290,7 +292,10 @@ def _add_embedding(table, parts, d_word, lineno):
         raise ValueError(
             f"embeddings line {lineno} has {len(parts) - 1} values, expected {d_word}"
         )
-    table[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+    vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"embeddings line {lineno} holds a non-finite value")
+    table[parts[0]] = vec
 
 
 CONFIG_KEYS = ("eta0", "mu", "gamma", "lambda", "batch", "dims", "seed", "patience")

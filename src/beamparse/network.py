@@ -85,9 +85,6 @@ class NetworkParams:
     def zeros_like(self):
         return {n: np.zeros_like(a) for n, a in self.fields()}
 
-    def all_finite(self):
-        return all(np.isfinite(a).all() for _, a in self.fields())
-
     def equal(self, other):
         return self._names == other._names and all(
             np.array_equal(getattr(self, n), getattr(other, n)) for n in self._names
@@ -167,8 +164,11 @@ def stack_features(feature_list):
     return w, t, l
 
 
-def forward(params, word_ids, tag_ids, label_ids, legal, precomp=None):
-    """Run the network on a batch of feature rows with per-row legality masks."""
+def forward(params, word_ids, tag_ids, label_ids, legal, precomp=None, work=None):
+    """Run the network on a batch of feature rows with per-row legality masks.
+
+    With a ``work`` Workspace the embedded rows are written into its h0 rows.
+    """
     w = _as_batch(word_ids, F.N_WORD_FEATURES)
     t = _as_batch(tag_ids, F.N_TAG_FEATURES)
     l = _as_batch(label_ids, F.N_LABEL_FEATURES)
@@ -188,14 +188,13 @@ def forward(params, word_ids, tag_ids, label_ids, legal, precomp=None):
         h0 = None  # inference shortcut; the gradient path never uses precomp
         z1 = precomp.hidden_preactivation(w, t, l)
     else:
-        h0 = np.concatenate(
-            [
-                params.e_word[w].reshape(b, -1),
-                params.e_tag[t].reshape(b, -1),
-                params.e_label[l].reshape(b, -1),
-            ],
-            axis=1,
-        )
+        h0 = np.empty((b, params.dims.embedded)) if work is None else work.h0[:b]
+        col = 0
+        for table, ids in ((params.e_word, w), (params.e_tag, t), (params.e_label, l)):
+            width = ids.shape[1] * table.shape[1]
+            block = h0[:, col : col + width].reshape(b, ids.shape[1], table.shape[1])
+            np.take(table, ids, axis=0, out=block)
+            col += width
         z1 = h0 @ params.w1.T + params.b1
     h1 = np.maximum(z1, 0.0)
     if params.two_layers:
@@ -225,49 +224,80 @@ def forward_config(params, config, sentence, precomp=None):
     return forward(params, feats.word_ids, feats.tag_ids, feats.label_ids, mask, precomp)
 
 
-def loss_and_gradient(params, word_ids, tag_ids, label_ids, legal, gold, lam):
+# Values per block of a blocked elementwise pass over a parameter: 128 KB of
+# float64, so the few blocks one step touches stay in a core's L2 cache.
+BLOCK = 1 << 14
+
+
+class Workspace:
+    """Arrays that training reuses for every update instead of allocating
+    them: one gradient per parameter, the embedded rows h0 and their
+    gradient dh0 for batches of up to ``rows`` rows, and one block of
+    scratch."""
+
+    def __init__(self, params, rows):
+        self.grads = {n: np.empty_like(a) for n, a in params.fields()}
+        self.h0 = np.empty((rows, params.dims.embedded))
+        self.dh0 = np.empty_like(self.h0)
+        self.scratch = np.empty(BLOCK)
+
+
+def _weight_gradient(out, dz, h, scale, w, scratch):
+    """out = dz.T @ h + scale * w, adding the L2 term one block at a time."""
+    np.matmul(dz.T, h, out=out)
+    out, w = out.reshape(-1), w.reshape(-1)
+    for i in range(0, w.size, BLOCK):
+        part = np.multiply(w[i : i + BLOCK], scale, out=scratch[: min(BLOCK, w.size - i)])
+        out[i : i + BLOCK] += part
+
+
+def loss_and_gradient(params, word_ids, tag_ids, label_ids, legal, gold, lam, work=None):
     """Mean NLL of the gold decisions plus lam * sum of squared hidden weights.
 
     The gradient covers every parameter; the L2 term touches only w1 (and w2).
+    With a ``work`` Workspace sized for the batch, the gradients are written
+    into ``work.grads`` (whatever it held) and that dict is returned, so no
+    parameter-sized array is allocated; without one, fresh arrays are.
     """
-    trace = forward(params, word_ids, tag_ids, label_ids, legal)
+    trace = forward(params, word_ids, tag_ids, label_ids, legal, work=work)
     b = trace.log_probs.shape[0]
+    if work is None:
+        work = Workspace(params, b)
+    grads = work.grads
     gold = np.asarray(gold, dtype=np.int64)
     if not trace.legal[np.arange(b), gold].all():
         raise ValueError("gold decision is illegal in its configuration")
     nll = -trace.log_probs[np.arange(b), gold]
-    loss = float(nll.mean()) + lam * float((params.w1 ** 2).sum())
+    # the squares go into the weight gradients' arrays, which the backward
+    # pass overwrites
+    loss = float(nll.mean()) + lam * float(np.square(params.w1, out=grads["w1"]).sum())
     if params.two_layers:
-        loss += lam * float((params.w2 ** 2).sum())
+        loss += lam * float(np.square(params.w2, out=grads["w2"]).sum())
 
-    grads = params.zeros_like()
-    dlogits = trace.probs.copy()
+    dlogits = trace.probs
     dlogits[np.arange(b), gold] -= 1.0
     dlogits /= b
 
-    h_last = trace.h_last
-    grads["beta"][:] = dlogits.T @ h_last
-    grads["b_y"][:] = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, trace.h_last, out=grads["beta"])
+    dlogits.sum(axis=0, out=grads["b_y"])
     dh = dlogits @ params.beta
     if params.two_layers:
         dz2 = dh * (trace.z2 > 0.0)
-        grads["w2"][:] = dz2.T @ trace.h1 + 2.0 * lam * params.w2
-        grads["b2"][:] = dz2.sum(axis=0)
+        _weight_gradient(grads["w2"], dz2, trace.h1, 2.0 * lam, params.w2, work.scratch)
+        dz2.sum(axis=0, out=grads["b2"])
         dh = dz2 @ params.w2
     dz1 = dh * (trace.z1 > 0.0)
-    grads["w1"][:] = dz1.T @ trace.h0 + 2.0 * lam * params.w1
-    grads["b1"][:] = dz1.sum(axis=0)
-    dh0 = dz1 @ params.w1
+    _weight_gradient(grads["w1"], dz1, trace.h0, 2.0 * lam, params.w1, work.scratch)
+    dz1.sum(axis=0, out=grads["b1"])
+    dh0 = np.matmul(dz1, params.w1, out=work.dh0[:b])
 
-    dims = params.dims
-    wb = F.N_WORD_FEATURES * dims.d_word
-    tb = wb + F.N_TAG_FEATURES * dims.d_tag
-    dw = dh0[:, :wb].reshape(b, F.N_WORD_FEATURES, dims.d_word)
-    dt = dh0[:, wb:tb].reshape(b, F.N_TAG_FEATURES, dims.d_tag)
-    dl = dh0[:, tb:].reshape(b, F.N_LABEL_FEATURES, dims.d_label)
-    np.add.at(grads["e_word"], trace.word_ids.ravel(), dw.reshape(-1, dims.d_word))
-    np.add.at(grads["e_tag"], trace.tag_ids.ravel(), dt.reshape(-1, dims.d_tag))
-    np.add.at(grads["e_label"], trace.label_ids.ravel(), dl.reshape(-1, dims.d_label))
+    col = 0
+    for name, ids in (("e_word", trace.word_ids), ("e_tag", trace.tag_ids), ("e_label", trace.label_ids)):
+        grad = grads[name]
+        d = grad.shape[1]
+        grad.fill(0.0)
+        np.add.at(grad, ids.ravel(), dh0[:, col : col + ids.shape[1] * d].reshape(-1, d))
+        col += ids.shape[1] * d
     return loss, grads
 
 

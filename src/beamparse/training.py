@@ -16,7 +16,8 @@ import numpy as np
 from . import decoder
 from . import network as N
 from . import transitions as T
-from .features import extract_features
+from .features import N_LABEL_FEATURES, N_TAG_FEATURES, N_WORD_FEATURES, extract_batch
+from .features import extract_features  # noqa: F401  (unused; the benchmark's tracer wraps this name)
 from .treebank import evaluate
 
 DECAY_FACTOR = 0.96
@@ -65,42 +66,61 @@ class TrainConfig:
 
 
 class TrainerState:
-    """Raw parameters, their momentum buffer, and the running average."""
+    """Raw parameters, their momentum buffer, the running average, and the
+    workspace every update reuses for batches of up to ``batch`` rows."""
 
-    def __init__(self, params, eta0, mu, decay_every):
+    def __init__(self, params, eta0, mu, decay_every, batch):
         self.params = params
         self.velocity = params.zeros_like()
         self.average = params.copy()
+        self.work = N.Workspace(params, batch)
         self.eta = eta0
         self.mu = mu
         self.decay_every = decay_every
         self.t = 0  # completed updates
 
 
+def _finite(arr):
+    arr = arr.reshape(-1)
+    return all(np.isfinite(arr[i : i + N.BLOCK]).all() for i in range(0, arr.size, N.BLOCK))
+
+
 def sgd_step(state, grads):
-    """One update: momentum fold, parameter move, rate decay, averaging."""
+    """One update: momentum fold, parameter move, rate decay, averaging.
+
+    Each parameter is walked in blocks of N.BLOCK values, and each block
+    goes through the whole update while it is in cache.
+    """
     t = state.t + 1
     params = state.params
     names = params.field_names()
     for name in names:  # every block is checked before any of them moves
-        if not np.isfinite(grads[name]).all():
+        if not _finite(grads[name]):
             raise TrainingDiverged(
                 f"non-finite gradient in {name} at update {t} (eta={state.eta:g})"
             )
+    eta, mu, alpha = state.eta, state.mu, averaging_weight(t)
+    scratch = state.work.scratch
+    finite = True
     for name in names:
-        v = state.velocity[name]
-        v *= state.mu
-        v -= grads[name]
-        getattr(params, name).__iadd__(state.eta * v)
+        p = getattr(params, name).reshape(-1)
+        v = state.velocity[name].reshape(-1)
+        g = grads[name].reshape(-1)
+        avg = getattr(state.average, name).reshape(-1)
+        for i in range(0, p.size, N.BLOCK):
+            block = slice(i, i + N.BLOCK)
+            tmp = scratch[: min(N.BLOCK, p.size - i)]
+            vb, pb, ab = v[block], p[block], avg[block]
+            vb *= mu
+            vb -= g[block]
+            pb += np.multiply(vb, eta, out=tmp)
+            ab *= alpha
+            ab += np.multiply(pb, 1.0 - alpha, out=tmp)
+            finite = finite and np.isfinite(pb).all()
     if t % state.decay_every == 0:
         state.eta *= DECAY_FACTOR
-    alpha = averaging_weight(t)
-    for name, arr in params.fields():
-        avg = getattr(state.average, name)
-        avg *= alpha
-        avg += (1.0 - alpha) * arr
     state.t = t
-    if not params.all_finite():
+    if not finite:
         raise TrainingDiverged(f"non-finite parameters after update {t} (eta={state.eta:g})")
 
 
@@ -124,38 +144,36 @@ def build_oracle_dataset(trees, vocabs):
     """Replay the oracle over every projective sentence and collect one
     training row per decision.  Sentences the oracle cannot derive (typically
     non-projective or multi-rooted) are skipped and counted."""
-    rows_w, rows_t, rows_l, rows_m, gold = [], [], [], [], []
     decisions = vocabs.decisions
-    used = skipped = 0
+    derived = []
+    skipped = 0
     for tree in trees:
         try:
-            seq = T.derive_oracle_sequence(tree)
+            derived.append((tree, T.derive_oracle_sequence(tree)))
         except T.OracleError:
             skipped += 1
-            continue
-        used += 1
-        sentence = vocabs.index_sentence(tree)
-        config = T.initial_configuration(len(tree))
-        for decision in seq:
-            feats = extract_features(config, sentence)
-            rows_w.append(feats.word_ids)
-            rows_t.append(feats.tag_ids)
-            rows_l.append(feats.label_ids)
-            rows_m.append(decisions.legal_mask(config))
-            gold.append(decisions.id_of(decision))
-            config = T.apply(config, decision)
-    if not gold:
+    n_rows = sum(len(seq) for _, seq in derived)
+    if not n_rows:
         raise ValueError("no projective sentences to train on")
     # int32 ids: the dataset holds every row of the training set at once
-    return OracleDataset(
-        np.array(rows_w, dtype=np.int32),
-        np.array(rows_t, dtype=np.int32),
-        np.array(rows_l, dtype=np.int32),
-        np.stack(rows_m),
-        np.array(gold, dtype=np.int64),
-        used,
-        skipped,
-    )
+    word = np.empty((n_rows, N_WORD_FEATURES), dtype=np.int32)
+    tag = np.empty((n_rows, N_TAG_FEATURES), dtype=np.int32)
+    label = np.empty((n_rows, N_LABEL_FEATURES), dtype=np.int32)
+    legal = np.empty((n_rows, len(decisions)), dtype=bool)
+    gold = np.empty(n_rows, dtype=np.int64)
+    start = 0
+    for tree, seq in derived:
+        # the configurations each decision is taken in; the last one's
+        # successor is never scored
+        configs = [T.initial_configuration(len(tree))]
+        for decision in seq[:-1]:
+            configs.append(T.apply(configs[-1], decision))
+        rows = slice(start, start + len(seq))
+        word[rows], tag[rows], label[rows] = extract_batch(configs, vocabs.index_sentence(tree))
+        legal[rows] = [decisions.legal_mask(c) for c in configs]
+        gold[rows] = [decisions.id_of(d) for d in seq]
+        start += len(seq)
+    return OracleDataset(word, tag, label, legal, gold, len(derived), skipped)
 
 
 @dataclass
@@ -200,7 +218,7 @@ def train_greedy(train_trees, dev_trees, vocabs, config, embeddings=None, log=No
     params = N.init_params(vocabs, config.dims, rng, embeddings)
     updates_per_epoch = math.ceil(len(data) / config.batch)
     decay_every = max(1, round(config.gamma * updates_per_epoch))
-    state = TrainerState(params, config.eta0, config.mu, decay_every)
+    state = TrainerState(params, config.eta0, config.mu, decay_every, config.batch)
 
     best_uas = -1.0
     best_epoch = 0
@@ -222,6 +240,7 @@ def train_greedy(train_trees, dev_trees, vocabs, config, embeddings=None, log=No
                 data.legal[idx],
                 data.gold[idx],
                 config.lam,
+                state.work,
             )
             sgd_step(state, grads)
             loss_sum += loss * len(idx)

@@ -109,6 +109,8 @@ def length_matched_sample(kept, reference, budget, seed):
     nearest non-empty bin stands in.  Deterministic under the seed.  With an
     empty reference this degrades to a plain budget cut.
     """
+    if budget < 0:
+        raise ValueError("token budget must be non-negative")
     kept = list(kept)
     reference = list(reference)
     if not reference:

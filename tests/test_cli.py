@@ -154,6 +154,36 @@ def test_bad_decimal_in_model_exits_1(tmp_path, corpus, capsys):
     assert "b1" in err and "Traceback" not in err
 
 
+def test_non_finite_value_in_model_exits_1(tmp_path, corpus, capsys):
+    train_path, dev_path = corpus
+    model = run_train(tmp_path, corpus)
+    lines = model.read_bytes().split(b"\n")
+    at = lines.index(next(line for line in lines if line.startswith(b"array b_y "))) + 1
+    lines[at] = b"nan " + lines[at].split(b" ", 1)[1]
+    model.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([
+        "parse", "--model", str(model), "--input", str(dev_path),
+        "--output", str(tmp_path / "out.conll"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: array b_y holds a non-finite value\n"
+
+
+def test_non_finite_embedding_exits_1(tmp_path, corpus, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("the " + " ".join(["0.1"] * 7 + ["inf"]) + "\n")
+    capsys.readouterr()
+    train_path, dev_path = corpus
+    assert main([
+        "train", "--train", str(train_path), "--dev", str(dev_path),
+        "--model", str(tmp_path / "model"), "--embeddings", str(emb), *TRAIN_FLAGS,
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: embeddings line 1 holds a non-finite value\n"
+    assert not (tmp_path / "model").exists()
+
+
 def test_parse_beam1_softmax_matches_greedy(tmp_path, corpus):
     train_path, dev_path = corpus
     model = run_train(tmp_path, corpus)
@@ -378,6 +408,19 @@ def test_filter_agree_cli(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert sum(len(t) for t in read_trees(out_path)) <= 12
+
+
+@pytest.mark.parametrize("mode", [[], ["--match-lengths"]], ids=["prefix", "match-lengths"])
+def test_filter_agree_negative_budget_exits_1(tmp_path, capsys, mode):
+    trees = toy_corpus(4, np.random.default_rng(2))
+    a_path, out_path = tmp_path / "a.conll", tmp_path / "kept.conll"
+    write_trees(a_path, trees)
+    assert main([
+        "filter-agree", "--a", str(a_path), "--b", str(a_path), "--out", str(out_path),
+        "--reference", str(a_path), "--budget", "-5", *mode,
+    ]) == 1
+    assert capsys.readouterr().err == "error: token budget must be non-negative\n"
+    assert not out_path.exists()
 
 
 def test_filter_agree_mismatched_inputs(tmp_path, capsys):

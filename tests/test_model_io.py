@@ -251,6 +251,17 @@ def test_bad_decimal_in_array_row_names_array_and_line(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("encoding", ["decimals", "f32"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_array_names_the_array(tmp_path, encoding, value):
+    params, vocabs, _ = fresh_model()
+    params.b_y[1] = value
+    path = tmp_path / "model"
+    save_model(path, params, vocabs, encoding=encoding)
+    with pytest.raises(ModelFormatError, match=r"array b_y holds a non-finite value"):
+        load_model(path)
+
+
 def test_saved_file_holds_no_derived_averages(tmp_path):
     params, vocabs, perceptron = fresh_model(with_perceptron=True)
     path = tmp_path / "model"
@@ -330,6 +341,14 @@ def test_load_embeddings_errors(tmp_path):
     assert "line 2" in str(err.value)
     path.write_text("")
     assert load_embeddings(path, 3) == {}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "emb"
+    path.write_text(f"2 3\nfoo 0.5 -1.0 2.0\nbar 1.0 {value} -0.25\n")
+    with pytest.raises(ValueError, match=r"embeddings line 3 holds a non-finite value"):
+        load_embeddings(path, 3)
 
 
 # ---------------------------------------------------------------------------
